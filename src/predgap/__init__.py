@@ -13,7 +13,6 @@ from .data import Dataset, PairSample, load_csv, sample_pairs, split, standardiz
 from .errors import FormatError, NumericDomainError, PredgapError, ValidationError
 from .exact import (
     LeafPairTable,
-    TraversalState,
     leaf_pair_probabilities,
     pg2_brute_force,
     pg2_exact,
@@ -54,7 +53,6 @@ __all__ = [
     "PerturbationSpec",
     "PredgapError",
     "Ranking",
-    "TraversalState",
     "Tree",
     "TreeEnsemble",
     "TreeNode",

@@ -80,7 +80,11 @@ def _rankings_from_file(path, num_features: int, num_instances: int) -> list[Ran
         lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     except OSError as exc:
         raise ValidationError(f"cannot read rankings file: {exc}") from None
-    rankings = [Ranking(order=tuple(int(v) for v in ln.split(","))) for ln in lines]
+    try:
+        rows = [tuple(int(v) for v in ln.split(",")) for ln in lines]
+    except ValueError:
+        raise ValidationError("rankings file rows must be comma-separated integers") from None
+    rankings = [Ranking(order=row) for row in rows]
     for r in rankings:
         if r.num_features != num_features:
             raise ValidationError(

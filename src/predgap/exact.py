@@ -1,20 +1,29 @@
 """Exact squared prediction gap via leaf-pair activation probabilities.
 
-The engine runs a double pre-order traversal over the ensemble: an outer
-walk fixes a leaf, an inner walk then visits every node of every tree while
-per-feature interval bounds and probability factors are updated on edge
-entry and reverted on exit.  Each edge replaces exactly one factor of the
-running product, so the whole table of pair probabilities costs O(n^2) for
-n total nodes.
+Each leaf is the half-open box ``[lo, hi)`` its root path confines the
+input to (``TreeEnsemble.leaf_boxes``); threshold ties route right, so box
+membership matches prediction exactly.  For a query x and a perturbed
+feature set S, a leaf is *alive* when its box holds x on every feature
+outside S; every other leaf fires with probability 0.  Two alive leaves
+fire together with the probability
 
-Intervals follow the routing rule: a left edge contributes (-inf, t), a
-right edge [t, inf), so every maintained interval is half-open [lower,
-upper) and threshold ties behave exactly like prediction.
+    P[u, v] = prod over q in S of Pr[delta_q in [max(lo_u, lo_v) - x_q,
+                                                 min(hi_u, hi_v) - x_q)),
+
+which for u == v is the leaf's own probability and for two different
+leaves of one tree is 0.  With leaf values y shifted per tree by the value
+of the leaf x reaches, the gap is
+
+    PG2 = sum_u P[u, u] y_u^2 + 2 sum_{i<j} y_i' P_ij y_j,
+
+where P_ij is the block of P between the alive leaves of trees i and j.
+Blocks are evaluated one tree pair at a time with array calls to
+``Distribution.interval_prob``, so the work is |S| * sum_{i<j} A_i A_j for
+A_i alive leaves in tree i, and memory is one block.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
 
@@ -23,43 +32,6 @@ import numpy as np
 from .errors import NumericDomainError, ValidationError
 from .model import TreeEnsemble, as_feature_vector
 from .perturb import Discrete, PerturbationSpec
-
-_INF = math.inf
-
-
-@dataclass
-class TraversalState:
-    """Per-feature interval bounds and factors maintained by the traversal.
-
-    One instance serves one traversal at a time; concurrent queries each
-    take their own.  A finished traversal reverts every mutation, so the
-    state always ends equal to its initialization.
-    """
-
-    lower: list[float]
-    upper: list[float]
-    factor: list[float]
-    running_product: float = 1.0
-
-    @staticmethod
-    def fresh(num_features: int) -> TraversalState:
-        return TraversalState(
-            lower=[-_INF] * num_features,
-            upper=[_INF] * num_features,
-            factor=[1.0] * num_features,
-        )
-
-    @property
-    def num_features(self) -> int:
-        return len(self.lower)
-
-    def is_initial(self) -> bool:
-        return (
-            self.running_product == 1.0
-            and all(v == -_INF for v in self.lower)
-            and all(v == _INF for v in self.upper)
-            and all(v == 1.0 for v in self.factor)
-        )
 
 
 @dataclass
@@ -90,6 +62,7 @@ class LeafPairTable:
 
 
 def _check_query(ensemble, x, features, spec):
+    """The query as a vector, its sorted perturbed features and their noise."""
     vec = as_feature_vector(x, ensemble.num_features)
     feats = sorted(set(int(q) for q in features))
     for q in feats:
@@ -97,91 +70,31 @@ def _check_query(ensemble, x, features, spec):
             raise ValidationError(
                 f"perturbed feature {q} outside the model's {ensemble.num_features} features"
             )
-        spec.distribution_for(q)
-    return vec, tuple(feats)
+    return vec, feats, [spec.distribution_for(q) for q in feats]
 
 
-def _run(ensemble, x_list, feats, spec, state, on_leaf, on_pair):
-    """Drive the double pre-order traversal, firing a callback per leaf/pair.
+def _alive(boxes, vec, feats):
+    """The alive leaves, and their boxes on S relative to x as (|S|, A) arrays."""
+    fixed = np.ones(vec.size, dtype=bool)
+    fixed[feats] = False
+    holds = (boxes.lo[:, fixed] <= vec[fixed]) & (vec[fixed] < boxes.hi[:, fixed])
+    alive = np.flatnonzero(holds.all(axis=1))
+    lo = (boxes.lo[alive][:, feats] - vec[feats]).T
+    hi = (boxes.hi[alive][:, feats] - vec[feats]).T
+    return alive, lo, hi
 
-    ``on_leaf(ti, node, prob)`` fires when the outer walk reaches a leaf;
-    ``on_pair(uti, unode, vti, vnode, prob)`` fires at every inner leaf.
-    """
-    d = ensemble.num_features
-    if state.num_features != d:
-        raise ValidationError(
-            f"traversal state sized for {state.num_features} features, model has {d}"
-        )
-    if not state.is_initial():
-        raise ValidationError("traversal state must start from its initialization")
 
-    lower, upper, factor = state.lower, state.upper, state.factor
-    arrays = [(t.feature, t.threshold, t.left, t.right) for t in ensemble.trees]
-    tree_range = range(len(arrays))
-    ip = [None] * d
-    for q in feats:
-        ip[q] = spec.distribution_for(q).interval_prob
+def _mass(dists, lo, hi):
+    """Elementwise product over k of ``dists[k].interval_prob(lo[k], hi[k])``."""
+    p = 1.0
+    for dist, a, b in zip(dists, lo, hi):
+        p = p * dist.interval_prob(a, b)
+    return p
 
-    def visit(ti, tfeat, tthr, tleft, tright, node, nz, zc, outer_ti, outer_node):
-        # nz/zc carry the running product as (product of nonzero factors,
-        # count of zero factors): replacing a zero factor cannot be done by
-        # division, so zeros are counted instead of multiplied in.
-        state.running_product = nz if zc == 0 else 0.0
-        q = tfeat[node]
-        if q < 0:  # leaf
-            prob = nz if zc == 0 else 0.0
-            if outer_ti < 0:
-                on_leaf(ti, node, prob)
-                for tj in tree_range:
-                    fa, ta, la, ra = arrays[tj]
-                    visit(tj, fa, ta, la, ra, 0, nz, zc, ti, node)
-            else:
-                on_pair(outer_ti, outer_node, ti, node, prob)
-            return
-        tv = tthr[node]
-        xq = x_list[q]
-        lo = lower[q]
-        hi = upper[q]
-        fac = factor[q]
-        if fac == 0.0:
-            base_nz, base_zc = nz, zc - 1
-        else:
-            base_nz, base_zc = nz / fac, zc
-        ipq = ip[q]
 
-        # left edge: x_q now confined to [lo, min(hi, t))
-        nhi = tv if tv < hi else hi
-        if ipq is None:
-            nfac = 1.0 if lo <= xq < nhi else 0.0
-        else:
-            nfac = ipq(lo - xq, nhi - xq)
-        upper[q] = nhi
-        factor[q] = nfac
-        if nfac == 0.0:
-            visit(ti, tfeat, tthr, tleft, tright, tleft[node], base_nz, base_zc + 1, outer_ti, outer_node)
-        else:
-            visit(ti, tfeat, tthr, tleft, tright, tleft[node], base_nz * nfac, base_zc, outer_ti, outer_node)
-        upper[q] = hi
-
-        # right edge: x_q now confined to [max(lo, t), hi)
-        nlo = tv if tv > lo else lo
-        if ipq is None:
-            nfac = 1.0 if nlo <= xq < hi else 0.0
-        else:
-            nfac = ipq(nlo - xq, hi - xq)
-        lower[q] = nlo
-        factor[q] = nfac
-        if nfac == 0.0:
-            visit(ti, tfeat, tthr, tleft, tright, tright[node], base_nz, base_zc + 1, outer_ti, outer_node)
-        else:
-            visit(ti, tfeat, tthr, tleft, tright, tright[node], base_nz * nfac, base_zc, outer_ti, outer_node)
-        lower[q] = lo
-        factor[q] = fac
-
-    for ti in tree_range:
-        fa, ta, la, ra = arrays[ti]
-        visit(ti, fa, ta, la, ra, 0, 1.0, 0, -1, -1)
-    state.running_product = 1.0
+def _joint(dists, lo_a, hi_a, lo_b, hi_b):
+    """Pair probabilities between two sets of alive leaves, shape (A_a, A_b)."""
+    return _mass(dists, map(np.maximum.outer, lo_a, lo_b), map(np.minimum.outer, hi_a, hi_b))
 
 
 def leaf_pair_probabilities(
@@ -189,24 +102,18 @@ def leaf_pair_probabilities(
     x,
     features,
     spec: PerturbationSpec,
-    state: TraversalState | None = None,
 ) -> LeafPairTable:
     """Compute Pr[leaf active] and Pr[both leaves active] for all leaf pairs."""
-    vec, feats = _check_query(ensemble, x, features, spec)
-    if state is None:
-        state = TraversalState.fresh(ensemble.num_features)
-    leaf_prob: dict[tuple[int, int], float] = {}
-    pair_prob: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
-
-    def on_leaf(ti, node, p):
-        leaf_prob[(ti, node)] = p
-
-    def on_pair(uti, unode, vti, vnode, p):
-        pair_prob[((uti, unode), (vti, vnode))] = p
-
-    _run(ensemble, vec.tolist(), feats, spec, state, on_leaf, on_pair)
+    vec, feats, dists = _check_query(ensemble, x, features, spec)
+    boxes = ensemble.leaf_boxes
+    alive, lo, hi = _alive(boxes, vec, feats)
+    P = np.zeros((boxes.value.size, boxes.value.size))
+    P[np.ix_(alive, alive)] = _joint(dists, lo, hi, lo, hi)
+    keys = list(zip(boxes.tree.tolist(), boxes.node.tolist()))
     return LeafPairTable(
-        leaf_prob=leaf_prob, pair_prob=pair_prob, num_trees=len(ensemble.trees)
+        leaf_prob=dict(zip(keys, np.diag(P).tolist())),
+        pair_prob={(u, v): p for u, row in zip(keys, P.tolist()) for v, p in zip(keys, row)},
+        num_trees=len(ensemble.trees),
     )
 
 
@@ -215,47 +122,39 @@ def pg2_exact(
     x,
     features,
     spec: PerturbationSpec,
-    state: TraversalState | None = None,
 ) -> float:
     """E[(f(x') - f(x))^2] under independent perturbation of ``features``.
 
-    Assembles c^2 plus the cross-pair terms plus the diagonal terms of the
-    quadratic expansion.  Leaf values are first shifted per tree by the leaf
-    value the unperturbed input reaches; the shift cancels in the gap, so
-    the expansion is evaluated with a shifted c of exactly zero.  This keeps
-    the variance-like result from being a difference of large terms and
-    makes structurally unaffected queries come out as an exact 0.0.
+    Leaf values are first shifted per tree by the leaf value the unperturbed
+    input reaches; the shift cancels in the gap, so the quadratic expansion
+    has no constant term.  This keeps the variance-like result from being a
+    difference of large terms, and makes structurally unaffected queries
+    (every alive leaf carries its tree's reached value, so y = 0) come out
+    as an exact 0.0.
     """
-    vec, feats = _check_query(ensemble, x, features, spec)
+    vec, feats, dists = _check_query(ensemble, x, features, spec)
     if not feats:
         return 0.0
-    if state is None:
-        state = TraversalState.fresh(ensemble.num_features)
+    boxes = ensemble.leaf_boxes
+    alive, lo, hi = _alive(boxes, vec, feats)
+    reached = np.array([tree.predict_one(vec) for tree in ensemble.trees])
+    y = boxes.value[alive] - reached[boxes.tree[alive]]
+    diagonal = float(y * y @ _mass(dists, lo, hi))
 
-    x_list = vec.tolist()
-    shifted: list[list[float]] = []
-    for tree in ensemble.trees:
-        base = tree.predict_one(x_list)
-        shifted.append([v - base for v in tree.value])
+    # Alive leaves run tree by tree, and every tree has one (the leaf x
+    # reaches): cut them into one block per tree.
+    bounds = [0, *(np.flatnonzero(np.diff(boxes.tree[alive])) + 1).tolist(), y.size]
+    blocks = [(y[a:b], lo[:, a:b], hi[:, a:b]) for a, b in zip(bounds, bounds[1:])]
+    cross = magnitude = 0.0
+    for i, (yi, loi, hii) in enumerate(blocks):
+        for yj, loj, hij in blocks[i + 1:]:
+            P = _joint(dists, loi, hii, loj, hij)
+            cross += float(yi @ P @ yj)
+            magnitude += float(np.abs(yi) @ P @ np.abs(yj))
 
-    acc = [0.0, 0.0, 0.0]  # cross sum, diagonal sum, |cross| magnitude
-
-    def on_leaf(ti, node, p):
-        y = shifted[ti][node]
-        acc[1] += p * y * y
-
-    def on_pair(uti, unode, vti, vnode, p):
-        if uti == vti and unode == vnode:
-            return
-        term = shifted[uti][unode] * shifted[vti][vnode] * p
-        acc[0] += term
-        acc[2] += term if term >= 0.0 else -term
-
-    _run(ensemble, x_list, feats, spec, state, on_leaf, on_pair)
-
-    result = acc[0] + acc[1]
+    result = diagonal + 2.0 * cross
     if result < 0.0:
-        slack = 1e-9 * max(acc[1] + acc[2], 1e-300)
+        slack = 1e-9 * max(diagonal + 2.0 * magnitude, 1e-300)
         if -result <= slack:
             return 0.0
         raise NumericDomainError(
@@ -273,20 +172,17 @@ def pg2_brute_force(
 ) -> float:
     """Oracle for all-discrete perturbations: enumerate every offset combo.
 
-    Independent of the traversal machinery; it evaluates the model on each
-    perturbed input and takes the probability-weighted mean of squared gaps.
+    Independent of the leaf boxes; it evaluates the model on each perturbed
+    input and takes the probability-weighted mean of squared gaps.
     """
-    vec, feats = _check_query(ensemble, x, features, spec)
+    vec, feats, dists = _check_query(ensemble, x, features, spec)
     if not feats:
         return 0.0
-    dists = []
-    for q in feats:
-        dist = spec.distribution_for(q)
+    for q, dist in zip(feats, dists):
         if not isinstance(dist, Discrete):
             raise ValidationError(
                 f"brute force needs discrete distributions; feature {q} has {type(dist).__name__}"
             )
-        dists.append(dist)
     total = 1
     for dist in dists:
         total *= len(dist.points)

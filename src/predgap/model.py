@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -192,11 +193,28 @@ class Tree:
 
 
 @dataclass(frozen=True)
+class LeafBoxes:
+    """Every leaf of an ensemble as the half-open box its root path allows.
+
+    Row u describes one leaf: an input reaches it exactly when
+    ``lo[u] <= x < hi[u]`` holds on every feature.  Rows run tree by tree,
+    and in node order within a tree.
+    """
+
+    lo: np.ndarray  # (L, d); -inf where no split bounds the feature
+    hi: np.ndarray  # (L, d); +inf likewise
+    value: np.ndarray  # (L,) leaf values
+    tree: np.ndarray  # (L,) tree index
+    node: np.ndarray  # (L,) node index within the tree
+
+
+@dataclass(frozen=True)
 class TreeEnsemble:
     """An additive ensemble of binary trees over ``num_features`` inputs.
 
-    Immutable after construction; prediction is pure, so instances are safe
-    to share across threads and processes.
+    Immutable after construction (``leaf_boxes`` is derived once, on first
+    use); prediction is pure, so instances are safe to share across threads
+    and processes.
     """
 
     trees: tuple[Tree, ...]
@@ -222,6 +240,26 @@ class TreeEnsemble:
     @property
     def leaf_count(self) -> int:
         return sum(t.leaf_count for t in self.trees)
+
+    @cached_property
+    def leaf_boxes(self) -> LeafBoxes:
+        d = self.num_features
+        parts = []
+        for t, tree in enumerate(self.trees):
+            feature, _, _, _, value = tree._np
+            lo = np.full((tree.node_count, d), -np.inf)
+            hi = np.full((tree.node_count, d), np.inf)
+            # Nodes are stored in pre-order, so a parent's box is final
+            # before either child reads it.
+            for i in np.flatnonzero(feature >= 0).tolist():
+                q, cut, a, b = tree.feature[i], tree.threshold[i], tree.left[i], tree.right[i]
+                lo[a] = lo[b] = lo[i]
+                hi[a] = hi[b] = hi[i]
+                hi[a, q] = min(hi[i, q], cut)
+                lo[b, q] = max(lo[i, q], cut)
+            leaves = np.flatnonzero(feature < 0)
+            parts.append((lo[leaves], hi[leaves], value[leaves], np.full(leaves.size, t), leaves))
+        return LeafBoxes(*(np.concatenate(column) for column in zip(*parts)))
 
     def predict(self, x) -> float:
         vec = as_feature_vector(x, self.num_features)
@@ -411,16 +449,19 @@ def load_ensemble(
         text = path.read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    # The JSON decoder and the node parsers recurse once per tree level.
     try:
         obj = json.loads(text)
+        if format == "canonical":
+            return ensemble_from_dict(obj)
+        if format == "xgboost-dump":
+            return ensemble_from_xgboost_dump(
+                obj, num_features=num_features, base_score=base_score
+            )
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if format == "canonical":
-        return ensemble_from_dict(obj)
-    if format == "xgboost-dump":
-        return ensemble_from_xgboost_dump(
-            obj, num_features=num_features, base_score=base_score
-        )
+    except RecursionError:
+        raise FormatError(f"{path}: trees nested too deeply to parse") from None
     raise ValidationError(f"unknown model format {format!r}")
 
 

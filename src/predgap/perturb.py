@@ -3,7 +3,9 @@
 Every distribution exposes an O(1) CDF, its inverse, and seeded sampling.
 ``cdf`` is the usual right-continuous Pr[delta <= v]; ``cdf_below`` is the
 left limit Pr[delta < v], which only differs for discrete distributions and
-is what half-open interval probabilities are built from.
+is what half-open interval probabilities are built from.  The CDFs and
+``interval_prob`` work elementwise on numpy arrays and return a plain float
+for scalar arguments.
 """
 
 from __future__ import annotations
@@ -13,27 +15,32 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import erf, ndtri
 
 from .errors import NumericDomainError, ValidationError
 
 _SQRT2 = math.sqrt(2.0)
 
 
+def _float_if_scalar(a):
+    return float(a) if np.ndim(a) == 0 else a
+
+
 class Distribution:
     """Common surface for the supported perturbation distributions."""
 
-    def cdf(self, v: float) -> float:
+    def cdf(self, v: float | np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
-    def cdf_below(self, v: float) -> float:
+    def cdf_below(self, v: float | np.ndarray) -> float | np.ndarray:
         return self.cdf(v)
 
-    def interval_prob(self, lo: float, hi: float) -> float:
-        """Pr[lo <= delta < hi] for the half-open interval [lo, hi)."""
-        if hi <= lo:
-            return 0.0
-        return self.cdf_below(hi) - self.cdf_below(lo)
+    def interval_prob(
+        self, lo: float | np.ndarray, hi: float | np.ndarray
+    ) -> float | np.ndarray:
+        """Pr[lo <= delta < hi] for the half-open interval [lo, hi); 0 when empty."""
+        p = np.where(hi > lo, self.cdf_below(hi) - self.cdf_below(lo), 0.0)
+        return _float_if_scalar(p)
 
     def inv_cdf(self, u: float) -> float:
         if not 0.0 < u < 1.0:
@@ -60,8 +67,8 @@ class Gaussian(Distribution):
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValidationError(f"gaussian sigma must be positive, got {self.sigma}")
 
-    def cdf(self, v: float) -> float:
-        return 0.5 * (1.0 + math.erf(v / (self.sigma * _SQRT2)))
+    def cdf(self, v: float | np.ndarray) -> float | np.ndarray:
+        return _float_if_scalar(0.5 * (1.0 + erf(np.divide(v, self.sigma * _SQRT2))))
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         return self.sigma * ndtri(u)
@@ -82,13 +89,9 @@ class Uniform(Distribution):
                 f"uniform half_width must be positive, got {self.half_width}"
             )
 
-    def cdf(self, v: float) -> float:
+    def cdf(self, v: float | np.ndarray) -> float | np.ndarray:
         w = self.half_width
-        if v <= -w:
-            return 0.0
-        if v >= w:
-            return 1.0
-        return (v + w) / (2.0 * w)
+        return _float_if_scalar(np.clip(np.add(v, w) / (2.0 * w), 0.0, 1.0))
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         return (2.0 * u - 1.0) * self.half_width
@@ -112,8 +115,8 @@ class Discrete(Distribution):
             raise ValidationError("discrete offsets must be finite")
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValidationError("discrete offsets must be strictly increasing")
-        if any(p < 0 for p in probs):
-            raise ValidationError("discrete probabilities must be non-negative")
+        if any(not (math.isfinite(p) and p >= 0) for p in probs):
+            raise ValidationError("discrete probabilities must be finite and non-negative")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValidationError(
                 f"discrete probabilities must sum to 1, got {sum(probs)!r}"
@@ -128,13 +131,16 @@ class Discrete(Distribution):
     def _cum(self) -> np.ndarray:
         return np.cumsum([p[1] for p in self.points])
 
-    def cdf(self, v: float) -> float:
-        i = int(np.searchsorted(self._offsets, v, side="right"))
-        return 0.0 if i == 0 else float(self._cum[i - 1])
+    @cached_property
+    def _cum0(self) -> np.ndarray:
+        """``_cum`` behind a leading zero: the mass below the i-th offset."""
+        return np.concatenate(([0.0], self._cum))
 
-    def cdf_below(self, v: float) -> float:
-        i = int(np.searchsorted(self._offsets, v, side="left"))
-        return 0.0 if i == 0 else float(self._cum[i - 1])
+    def cdf(self, v: float | np.ndarray) -> float | np.ndarray:
+        return _float_if_scalar(self._cum0[np.searchsorted(self._offsets, v, side="right")])
+
+    def cdf_below(self, v: float | np.ndarray) -> float | np.ndarray:
+        return _float_if_scalar(self._cum0[np.searchsorted(self._offsets, v, side="left")])
 
     def inv_cdf(self, u: float) -> float:
         # Generalized inverse: the smallest offset whose CDF reaches u.
@@ -192,15 +198,30 @@ def distribution_from_config(obj) -> Distribution:
         raise ValidationError("distribution config must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "gaussian":
-        return Gaussian(float(obj["sigma"]))
+        return Gaussian(_config_number(obj, kind, "sigma"))
     if kind == "uniform":
-        return Uniform(float(obj["half_width"]))
+        return Uniform(_config_number(obj, kind, "half_width"))
     if kind == "discrete":
         pts = obj.get("points")
         if not isinstance(pts, list):
             raise ValidationError("discrete config needs a 'points' array")
-        return Discrete(tuple((float(o), float(p)) for o, p in pts))
+        try:
+            points = tuple((float(o), float(p)) for o, p in pts)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                "discrete config 'points' must be [offset, probability] number pairs"
+            ) from None
+        return Discrete(points)
     raise ValidationError(f"unknown distribution kind {kind!r}")
+
+
+def _config_number(obj: dict, kind: str, key: str) -> float:
+    if key not in obj:
+        raise ValidationError(f"{kind} config needs {key!r}")
+    try:
+        return float(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{kind} config {key!r} must be a number, got {obj[key]!r}") from None
 
 
 def spec_from_config(obj, num_features: int) -> PerturbationSpec:

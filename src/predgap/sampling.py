@@ -57,7 +57,7 @@ def perturbed_inputs(
 
 
 def _sampled_gaps(ensemble, x, features, spec, config):
-    vec, feats = _check_query(ensemble, x, features, spec)
+    vec, feats, _ = _check_query(ensemble, x, features, spec)
     if not feats:
         return None
     c = ensemble.predict(vec)

@@ -284,6 +284,58 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, content, argv",
+    [
+        ("rankings.csv", "0,1\n1,x\n0,1\n1,0\n",
+         ["eval", "--rankings", "{path}", "--metric", "pgi2", "--sigma-metric", "1.0"]),
+        ("dist.json", '{"kind": "gaussian"}',
+         ["pg2", "--point-index", "0", "--features", "0", "--dist-config", "{path}"]),
+        ("dist.json", '{"kind": "uniform"}',
+         ["pg2", "--point-index", "0", "--features", "0", "--dist-config", "{path}"]),
+        ("dist.json", '{"kind": "gaussian", "sigma": "wide"}',
+         ["pg2", "--point-index", "0", "--features", "0", "--dist-config", "{path}"]),
+        ("dist.json", '{"kind": "discrete", "points": [[1.0]]}',
+         ["pg2", "--point-index", "0", "--features", "0", "--dist-config", "{path}"]),
+    ],
+    ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
+         "one-element-point"],
+)
+def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
+    path = workdir / name
+    path.write_text(content)
+    command, *rest = argv
+    rc = main([command, *_model_arg(workdir), *(a.format(path=path) for a in rest)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("pg2: error: ")
+
+
+def _chain_files(tmp_path, depth, x0):
+    """A one-tree, one-feature chain model: split k sends x < k to a leaf of
+    value 1 and x >= k on down the chain, whose last leaf has value 0."""
+    split = '{"feature": 0, "threshold": %d, "left": {"value": 1.0}, "right": '
+    (tmp_path / "model.json").write_text(
+        '{"num_features": 1, "trees": ['
+        + "".join(split % k for k in range(depth))
+        + '{"value": 0.0}' + "}" * depth + "]}"
+    )
+    (tmp_path / "data.csv").write_text(f"a\n{x0}\n")
+    return ["pg2", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
+            "--point-index", "0", "--features", "0", "--sigma", "1.0"]
+
+
+def test_deep_chain_model(tmp_path, capsys):
+    # x sits on the last threshold, so the gap is 1 exactly when the noise
+    # is negative
+    assert main(_chain_files(tmp_path, 600, 599.0)) == 0
+    assert capsys.readouterr().out == "0.500000000\n"
+
+
+def test_too_deeply_nested_model_is_a_format_error(tmp_path, capsys):
+    assert main(_chain_files(tmp_path, 2000, 0.0)) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_exit_code_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["pg2", "--bogus-flag"])

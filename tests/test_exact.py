@@ -1,11 +1,14 @@
 """The exact squared-gap engine against hand derivations and the enumerator."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import predgap as pg
 from predgap.errors import ValidationError
-from predgap.exact import _run
+from predgap.model import ensemble_from_dict
 
 from support import (
     CANONICAL_PG2,
@@ -134,49 +137,6 @@ def test_probability_normalization():
             assert s == pytest.approx(1.0, abs=1e-9)
 
 
-def test_state_reverts_to_initialization():
-    rng = np.random.default_rng(17)
-    d = 5
-    ens = random_ensemble(rng, num_features=d, num_trees=3, max_depth=4)
-    spec = pg.PerturbationSpec.gaussian(0.5, d)
-    state = pg.TraversalState.fresh(d)
-    pg.leaf_pair_probabilities(ens, rng.normal(size=d), [0, 3], spec, state=state)
-    assert state.is_initial()
-    pg.pg2_exact(ens, rng.normal(size=d), [1, 2], spec, state=state)
-    assert state.is_initial()
-
-
-def test_state_validation():
-    ens = canonical_ensemble()
-    spec = pg.PerturbationSpec.gaussian(1.0, 1)
-    with pytest.raises(ValidationError, match="sized"):
-        pg.pg2_exact(ens, [-1.0], [0], spec, state=pg.TraversalState.fresh(3))
-    dirty = pg.TraversalState.fresh(1)
-    dirty.factor[0] = 0.5
-    with pytest.raises(ValidationError, match="initialization"):
-        pg.pg2_exact(ens, [-1.0], [0], spec, state=dirty)
-
-
-def test_running_product_mirrors_emitted_probabilities():
-    rng = np.random.default_rng(23)
-    d = 4
-    ens = random_ensemble(rng, num_features=d, num_trees=2, max_depth=3)
-    spec = pg.PerturbationSpec.gaussian(0.7, d)
-    x = rng.normal(size=d)
-    state = pg.TraversalState.fresh(d)
-    seen = []
-
-    def on_leaf(ti, node, p):
-        seen.append(state.running_product == p)
-
-    def on_pair(uti, unode, vti, vnode, p):
-        seen.append(state.running_product == p)
-
-    _run(ens, list(x), (0, 2), spec, state, on_leaf, on_pair)
-    assert seen and all(seen)
-    assert state.is_initial()
-
-
 def test_unused_features_give_exact_zero():
     # model splits only on feature 0; perturbing feature 1 cannot move it
     ens = canonical_ensemble(num_features=2)
@@ -226,3 +186,28 @@ def test_threshold_tie_queries_match_oracle():
         e = pg.pg2_exact(ens, [x0], [0], spec)
         b = pg.pg2_brute_force(ens, [x0], [0], spec)
         assert e == pytest.approx(b, abs=1e-15)
+
+
+def test_gaussian_and_uniform_goldens():
+    # Values frozen from the recursive double-traversal engine that preceded
+    # the leaf-box engine: the benchmark fixture ensemble at its query pairs,
+    # and a random lattice-threshold ensemble at lattice points, under
+    # gaussian, uniform and mixed per-feature noise.
+    golden = json.loads((Path(__file__).parent / "golden_exact.json").read_text())
+    models = {name: ensemble_from_dict(obj) for name, obj in golden["models"].items()}
+    failures = []
+    for n, case in enumerate(golden["cases"]):
+        ens = models[case["model"]]
+        spec = pg.spec_from_config(case["dist"], ens.num_features)
+        x, feats, want = np.array(case["x"]), case["features"], case["pg2"]
+        got = pg.pg2_exact(ens, x, feats, spec)
+        # Interval probabilities are differences of CDF values near 1, so
+        # allow their rounding on top of the relative tolerance.
+        spread = sum(
+            sum(abs(tree.value[i] - tree.predict_one(x)) for i in tree.leaf_indices())
+            for tree in ens.trees
+        )
+        tol = 1e-9 * abs(want) + 1e-15 * len(feats) * spread**2
+        if not abs(got - want) <= tol:
+            failures.append(f"case {n}: {got!r} vs golden {want!r}")
+    assert not failures, failures

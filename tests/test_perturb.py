@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import predgap as pg
@@ -47,11 +49,37 @@ def test_interval_prob_half_open():
     assert d.interval_prob(3.0, 1.0) == 0.0
 
 
+# Interval ends covering +-inf, the uniform support ends +-1 and the discrete
+# atoms -1, 0 and 2; all pairs of them give reversed and empty intervals too.
+_ENDS = [-np.inf, -2.0, -1.0, -0.5, 0.0, 0.3, 1.0, 2.0, np.inf]
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [pg.Gaussian(0.7), pg.Uniform(1.0), pg.Discrete(points=((-1.0, 0.25), (0.0, 0.5), (2.0, 0.25)))],
+    ids=["gaussian", "uniform", "discrete"],
+)
+def test_array_calls_match_scalar_calls(dist):
+    lo, hi = np.meshgrid(_ENDS, _ENDS, indexing="ij")
+    probs = dist.interval_prob(lo, hi)
+    assert probs.shape == lo.shape
+    for (i, j), p in np.ndenumerate(probs):
+        scalar = dist.interval_prob(float(lo[i, j]), float(hi[i, j]))
+        assert type(scalar) is float and p == scalar
+    ends = np.array(_ENDS)
+    for fn in (dist.cdf, dist.cdf_below):
+        values = fn(ends)
+        for v, c in zip(_ENDS, values):
+            assert type(fn(v)) is float and c == fn(v)
+
+
 def test_discrete_validation():
     with pytest.raises(ValidationError):
         pg.Discrete(points=((0.0, 0.5), (0.0, 0.5)))       # not increasing
     with pytest.raises(ValidationError):
         pg.Discrete(points=((0.0, 0.7), (1.0, 0.2)))       # mass != 1
+    with pytest.raises(ValidationError):
+        pg.Discrete(points=((0.0, float("nan")),))         # NaN mass
     with pytest.raises(ValidationError):
         pg.Gaussian(0.0)
     with pytest.raises(ValidationError):
@@ -201,3 +229,28 @@ def test_spec_from_config_per_feature():
 def test_spec_from_config_length_mismatch():
     with pytest.raises(ValidationError):
         pg.spec_from_config([{"kind": "gaussian", "sigma": 1.0}], 2)
+
+
+_CONFIG_KEYS = st.sampled_from(["kind", "sigma", "half_width", "points"]) | st.text(max_size=4)
+_CONFIG_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["gaussian", "uniform", "discrete"])
+    | st.text(max_size=4)
+)
+_CONFIG_JSON = st.recursive(
+    _CONFIG_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_CONFIG_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_CONFIG_JSON, st.integers(1, 3))
+def test_spec_from_config_raises_only_package_errors(obj, num_features):
+    try:
+        pg.spec_from_config(obj, num_features)
+    except pg.PredgapError:
+        pass
