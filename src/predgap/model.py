@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -64,86 +63,78 @@ class TreeNode:
         )
 
 
-class Tree:
-    """A single tree compiled to flat pre-order arrays.
+_MAX_FEATURE = np.iinfo(np.int64).max  # feature indices are stored as int64
 
-    Node 0 is the root; children are stored by index.  ``feature[i] < 0``
-    marks a leaf, in which case ``value[i]`` holds the leaf value and the
-    child indices are -1.
+
+class Tree:
+    """A single tree stored as five flat pre-order numpy arrays.
+
+    Node 0 is the root.  A split's left child directly follows it and its
+    right child follows the whole left subtree, so every child has a larger
+    index than its parent.  ``feature[i] < 0`` marks a leaf, in which case
+    ``value[i]`` holds the leaf value and the child indices are -1.  Building
+    and serializing walk the nodes with explicit stacks or index order, so
+    depth is not limited by Python's recursion limit.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "_np")
+    __slots__ = ("feature", "threshold", "left", "right", "value")
 
     def __init__(self, root: TreeNode) -> None:
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
+        self._fill(root, _tree_node_fields, "tree")
 
-        def add(node: TreeNode) -> int:
-            i = len(feature)
-            if node.is_leaf:
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                value.append(node.value)
-            else:
-                feature.append(node.feature)
-                threshold.append(node.threshold)
-                left.append(-1)
-                right.append(-1)
-                value.append(0.0)
-                left[i] = add(node.left)
-                right[i] = add(node.right)
-            return i
+    def _fill(self, root, read_node, where: str) -> None:
+        """Lay the nodes below ``root`` out in pre-order.
 
-        add(root)
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.value = value
-        self._np = (
-            np.asarray(feature, dtype=np.int64),
-            np.asarray(threshold, dtype=np.float64),
-            np.asarray(left, dtype=np.int64),
-            np.asarray(right, dtype=np.int64),
-            np.asarray(value, dtype=np.float64),
-        )
+        ``read_node(obj, where)`` validates one node of the source and
+        returns either its leaf value or the tuple ``(feature, threshold,
+        left, left_where, right, right_where)``.
+        """
+        rows = []  # [feature, threshold, left, right, value] per node
+        # Right children wait on the stack with the index of their parent;
+        # a left child is always its parent's next node.
+        stack = [(root, where, -1)]
+        while stack:
+            obj, where, parent = stack.pop()
+            i = len(rows)
+            if parent >= 0:
+                rows[parent][3] = i
+            node = read_node(obj, where)
+            if not isinstance(node, tuple):
+                if not math.isfinite(node):
+                    raise ValidationError(f"{where}: leaf value must be finite")
+                rows.append([-1, 0.0, -1, -1, float(node)])
+                continue
+            feature, threshold, left, left_where, right, right_where = node
+            if not 0 <= feature <= _MAX_FEATURE:
+                raise ValidationError(f"{where}: feature index {feature} out of range")
+            if not math.isfinite(threshold):
+                raise ValidationError(f"{where}: split threshold must be finite")
+            rows.append([feature, float(threshold), i + 1, -1, 0.0])
+            stack.append((right, right_where, i))
+            stack.append((left, left_where, -1))
+        feature, threshold, left, right, value = zip(*rows)
+        self.feature, self.left, self.right = (np.array(a, dtype=np.int64) for a in (feature, left, right))
+        self.threshold, self.value = (np.array(a, dtype=np.float64) for a in (threshold, value))
 
     @property
     def node_count(self) -> int:
-        return len(self.feature)
+        return self.feature.size
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for f in self.feature if f < 0)
+        return int(np.count_nonzero(self.feature < 0))
 
     @property
     def max_depth(self) -> int:
         """Longest root-to-leaf path, counted in edges."""
         depth = [0] * self.node_count
-        best = 0
-        for i in range(self.node_count):
-            if self.feature[i] >= 0:
-                depth[self.left[i]] = depth[i] + 1
-                depth[self.right[i]] = depth[i] + 1
-            elif depth[i] > best:
-                best = depth[i]
-        return best
-
-    def leaf_indices(self) -> Iterator[int]:
-        return (i for i, f in enumerate(self.feature) if f < 0)
+        left, right = self.left.tolist(), self.right.tolist()
+        for i in np.flatnonzero(self.feature >= 0).tolist():
+            depth[left[i]] = depth[right[i]] = depth[i] + 1
+        return max(depth)
 
     def predict_one(self, x) -> float:
-        feature, threshold, left, right = (
-            self.feature,
-            self.threshold,
-            self.left,
-            self.right,
-        )
+        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
         i = 0
         f = feature[0]
         while f >= 0:
@@ -152,7 +143,7 @@ class Tree:
         return self.value[i]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        feat, thr, left, right, value = self._np
+        feat, thr, left, right = self.feature, self.threshold, self.left, self.right
         idx = np.zeros(X.shape[0], dtype=np.int64)
         rows = np.arange(X.shape[0])
         pending = feat[idx] >= 0
@@ -162,34 +153,31 @@ class Tree:
             nxt = np.where(go_left, left[idx], right[idx])
             idx = np.where(pending, nxt, idx)
             pending = feat[idx] >= 0
-        return value[idx]
-
-    def to_node(self) -> TreeNode:
-        def build(i: int) -> TreeNode:
-            if self.feature[i] < 0:
-                return TreeNode.leaf(self.value[i])
-            return TreeNode.split(
-                self.feature[i],
-                self.threshold[i],
-                build(self.left[i]),
-                build(self.right[i]),
-            )
-
-        return build(0)
+        return self.value[idx]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
-        return (
-            self.feature == other.feature
-            and self.threshold == other.threshold
-            and self.left == other.left
-            and self.right == other.right
-            and self.value == other.value
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__
         )
 
     def __repr__(self) -> str:
         return f"Tree(nodes={self.node_count}, leaves={self.leaf_count})"
+
+
+def _tree_node_fields(node: TreeNode, where: str):
+    # A TreeNode checked its own shape when it was built.
+    if node.is_leaf:
+        return node.value
+    return node.feature, node.threshold, node.left, where + ".left", node.right, where + ".right"
+
+
+def _parse_tree(root, read_node, where: str) -> Tree:
+    tree = Tree.__new__(Tree)
+    tree._fill(root, read_node, where)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -226,12 +214,12 @@ class TreeEnsemble:
         if not self.trees:
             raise ValidationError("ensemble needs at least one tree")
         for t, tree in enumerate(self.trees):
-            for f in tree.feature:
-                if f >= self.num_features:
-                    raise ValidationError(
-                        f"tree {t} references feature {f}, but the ensemble "
-                        f"declares only {self.num_features} features"
-                    )
+            f = int(tree.feature.max())
+            if f >= self.num_features:
+                raise ValidationError(
+                    f"tree {t} references feature {f}, but the ensemble "
+                    f"declares only {self.num_features} features"
+                )
 
     @property
     def node_count(self) -> int:
@@ -246,19 +234,22 @@ class TreeEnsemble:
         d = self.num_features
         parts = []
         for t, tree in enumerate(self.trees):
-            feature, _, _, _, value = tree._np
             lo = np.full((tree.node_count, d), -np.inf)
             hi = np.full((tree.node_count, d), np.inf)
             # Nodes are stored in pre-order, so a parent's box is final
-            # before either child reads it.
-            for i in np.flatnonzero(feature >= 0).tolist():
-                q, cut, a, b = tree.feature[i], tree.threshold[i], tree.left[i], tree.right[i]
+            # before either child reads it.  Python scalars index faster
+            # than numpy ones.
+            feature, threshold, left, right = (
+                a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right)
+            )
+            for i in np.flatnonzero(tree.feature >= 0).tolist():
+                q, cut, a, b = feature[i], threshold[i], left[i], right[i]
                 lo[a] = lo[b] = lo[i]
                 hi[a] = hi[b] = hi[i]
                 hi[a, q] = min(hi[i, q], cut)
                 lo[b, q] = max(lo[i, q], cut)
-            leaves = np.flatnonzero(feature < 0)
-            parts.append((lo[leaves], hi[leaves], value[leaves], np.full(leaves.size, t), leaves))
+            leaves = np.flatnonzero(tree.feature < 0)
+            parts.append((lo[leaves], hi[leaves], tree.value[leaves], np.full(leaves.size, t), leaves))
         return LeafBoxes(*(np.concatenate(column) for column in zip(*parts)))
 
     def predict(self, x) -> float:
@@ -295,44 +286,33 @@ def as_feature_vector(x, num_features: int) -> np.ndarray:
 # Canonical JSON format
 # ---------------------------------------------------------------------------
 
-def _node_from_dict(obj, where: str) -> TreeNode:
+def _number(obj: dict, key: str, where: str) -> float:
+    v = obj[key]
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise FormatError(f"{where}: {key} must be a number")
+
+
+def _canonical_node_fields(obj, where: str):
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
     keys = set(obj)
     if keys == {"value"}:
-        if not isinstance(obj["value"], (int, float)) or isinstance(obj["value"], bool):
-            raise FormatError(f"{where}: leaf value must be a number")
-        return TreeNode.leaf(float(obj["value"]))
+        return _number(obj, "value", where)
     if keys == {"feature", "threshold", "left", "right"}:
         if not isinstance(obj["feature"], int) or isinstance(obj["feature"], bool):
             raise FormatError(f"{where}: feature must be an integer")
-        if not isinstance(obj["threshold"], (int, float)) or isinstance(
-            obj["threshold"], bool
-        ):
-            raise FormatError(f"{where}: threshold must be a number")
-        left = _node_from_dict(obj["left"], where + ".left")
-        right = _node_from_dict(obj["right"], where + ".right")
-        try:
-            return TreeNode.split(obj["feature"], obj["threshold"], left, right)
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+        threshold = _number(obj, "threshold", where)
+        return obj["feature"], threshold, obj["left"], where + ".left", obj["right"], where + ".right"
     if keys & {"feature", "threshold", "left", "right", "value"}:
         raise ValidationError(
             f"{where}: node is neither a complete split nor a pure leaf "
             f"(keys: {sorted(keys)})"
         )
     raise FormatError(f"{where}: unrecognized node shape (keys: {sorted(keys)})")
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
 
 
 def ensemble_from_dict(obj) -> TreeEnsemble:
@@ -346,16 +326,36 @@ def ensemble_from_dict(obj) -> TreeEnsemble:
     if not isinstance(obj["trees"], list) or not obj["trees"]:
         raise FormatError("model file: 'trees' must be a non-empty array")
     trees = tuple(
-        Tree(_node_from_dict(node, f"trees[{i}]"))
+        _parse_tree(node, _canonical_node_fields, f"trees[{i}]")
         for i, node in enumerate(obj["trees"])
     )
     return TreeEnsemble(trees=trees, num_features=d)
 
 
+def _tree_to_dict(tree: Tree) -> dict:
+    feature, threshold, left, right, value = (
+        getattr(tree, name).tolist() for name in Tree.__slots__
+    )
+    # Children come after their parents, so a reverse pass meets both
+    # children of a split before the split itself.
+    nodes = [None] * len(feature)
+    for i in reversed(range(len(feature))):
+        if feature[i] < 0:
+            nodes[i] = {"value": value[i]}
+        else:
+            nodes[i] = {
+                "feature": feature[i],
+                "threshold": threshold[i],
+                "left": nodes[left[i]],
+                "right": nodes[right[i]],
+            }
+    return nodes[0]
+
+
 def ensemble_to_dict(ensemble: TreeEnsemble) -> dict:
     return {
         "num_features": ensemble.num_features,
-        "trees": [_node_to_dict(t.to_node()) for t in ensemble.trees],
+        "trees": [_tree_to_dict(t) for t in ensemble.trees],
     }
 
 
@@ -369,17 +369,18 @@ def _parse_split_feature(split, where: str) -> int:
     if isinstance(split, str):
         name = split[1:] if split.startswith("f") else split
         if name.isdigit():
-            return int(name)
+            try:
+                return int(name)
+            except ValueError:  # a non-decimal digit, or too many digits
+                pass
     raise FormatError(f"{where}: cannot map split identifier {split!r} to a feature index")
 
 
-def _node_from_xgb(obj, where: str) -> TreeNode:
+def _xgb_node_fields(obj, where: str):
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
     if "leaf" in obj:
-        if not isinstance(obj["leaf"], (int, float)) or isinstance(obj["leaf"], bool):
-            raise FormatError(f"{where}: leaf value must be a number")
-        return TreeNode.leaf(float(obj["leaf"]))
+        return _number(obj, "leaf", where)
     for key in ("split", "split_condition", "yes", "no", "children"):
         if key not in obj:
             raise FormatError(f"{where}: split node missing {key!r}")
@@ -393,24 +394,17 @@ def _node_from_xgb(obj, where: str) -> TreeNode:
             f"{where}: dedicated missing-value branch (missing={obj['missing']}) "
             "is unsupported; inputs must be finite"
         )
-    by_id = {}
     for j, child in enumerate(children):
         if not isinstance(child, dict) or "nodeid" not in child:
             raise FormatError(f"{where}.children[{j}]: missing 'nodeid'")
-        by_id[child["nodeid"]] = child
-    if obj["yes"] not in by_id or obj["no"] not in by_id:
-        raise FormatError(f"{where}: 'yes'/'no' ids do not match the children")
-    feature = _parse_split_feature(obj["split"], where)
-    threshold = obj["split_condition"]
-    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-        raise FormatError(f"{where}: split_condition must be a number")
-    # "yes" is the x < threshold branch, i.e. our left child.
-    left = _node_from_xgb(by_id[obj["yes"]], where + ".yes")
-    right = _node_from_xgb(by_id[obj["no"]], where + ".no")
     try:
-        return TreeNode.split(feature, threshold, left, right)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        by_id = {child["nodeid"]: child for child in children}
+        yes, no = by_id[obj["yes"]], by_id[obj["no"]]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise FormatError(f"{where}: 'yes'/'no' ids do not match the children") from None
+    feature = _parse_split_feature(obj["split"], where)
+    # "yes" is the x < threshold branch, i.e. our left child.
+    return feature, _number(obj, "split_condition", where), yes, where + ".yes", no, where + ".no"
 
 
 def ensemble_from_xgboost_dump(
@@ -423,11 +417,9 @@ def ensemble_from_xgboost_dump(
     """
     if not isinstance(obj, list) or not obj:
         raise FormatError("xgboost dump: expected a non-empty array of trees")
-    roots = [_node_from_xgb(t, f"tree[{i}]") for i, t in enumerate(obj)]
-    trees = [Tree(r) for r in roots]
-    max_feature = max((f for t in trees for f in t.feature), default=-1)
+    trees = [_parse_tree(t, _xgb_node_fields, f"tree[{i}]") for i, t in enumerate(obj)]
     if num_features is None:
-        num_features = max(max_feature + 1, 1)
+        num_features = max(max(int(t.feature.max()) for t in trees) + 1, 1)
     if base_score != 0.0:
         trees.append(Tree(TreeNode.leaf(base_score)))
     return TreeEnsemble(trees=tuple(trees), num_features=num_features)
@@ -449,22 +441,27 @@ def load_ensemble(
         text = path.read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    # The JSON decoder and the node parsers recurse once per tree level.
+    # The JSON decoder recurses once per level of nesting.
     try:
         obj = json.loads(text)
-        if format == "canonical":
-            return ensemble_from_dict(obj)
-        if format == "xgboost-dump":
-            return ensemble_from_xgboost_dump(
-                obj, num_features=num_features, base_score=base_score
-            )
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past the string conversion limit
+        raise FormatError(f"{path}: {exc}") from None
     except RecursionError:
         raise FormatError(f"{path}: trees nested too deeply to parse") from None
+    if format == "canonical":
+        return ensemble_from_dict(obj)
+    if format == "xgboost-dump":
+        return ensemble_from_xgboost_dump(obj, num_features=num_features, base_score=base_score)
     raise ValidationError(f"unknown model format {format!r}")
 
 
 def save_ensemble(ensemble: TreeEnsemble, path) -> None:
     """Write the canonical JSON format with full float round-trip precision."""
-    Path(path).write_text(json.dumps(ensemble_to_dict(ensemble), indent=1) + "\n")
+    # The JSON encoder recurses once per level of nesting.
+    try:
+        text = json.dumps(ensemble_to_dict(ensemble), indent=1)
+    except RecursionError:
+        raise FormatError("model trees nested too deeply to serialize") from None
+    Path(path).write_text(text + "\n")

@@ -7,6 +7,7 @@ shared between the criteria that assert on them.
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -199,16 +200,18 @@ def test_criterion_07_quadratic_scaling():
     x = rng.normal(size=d)
     subset = (0, 2, 5, 7)
 
-    def median_time(ensemble):
-        pg.pg2_exact(ensemble, x, subset, spec)  # warm-up
-        times = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            pg.pg2_exact(ensemble, x, subset, spec)
-            times.append(time.perf_counter() - t0)
-        return sorted(times)[2]
+    def timed(ensemble):
+        t0 = time.perf_counter()
+        pg.pg2_exact(ensemble, x, subset, spec)
+        return time.perf_counter() - t0
 
-    ratio = median_time(large) / median_time(small)
+    timed(small)  # warm-up
+    timed(large)
+    # Calls take milliseconds, so interleave many of them: a burst of
+    # machine load then hits both sizes alike and the medians skip it.
+    times = [(timed(small), timed(large)) for _ in range(21)]
+    small_times, large_times = zip(*times)
+    ratio = statistics.median(large_times) / statistics.median(small_times)
     assert 2.5 <= ratio <= 6.0
     _pass(7, f"doubling nodes scales wall time by {ratio:.2f}")
 

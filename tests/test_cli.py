@@ -284,6 +284,15 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_HUGE = "1" + "0" * 400  # an integer literal beyond the float range
+_DUMP = (
+    '[{"nodeid": 0, "split": "%s", "split_condition": %s, "yes": %s, "no": %s,'
+    ' "children": [{"nodeid": %s, "leaf": 0.0}, {"nodeid": 2, "leaf": 1.0}]}]'
+)
+_PG2 = ["pg2", "--point-index", "0", "--features", "0", "--sigma", "1.0"]
+_CONVERT = ["convert-model", "--input", "{path}", "--output", "{path}.canonical"]
+
+
 @pytest.mark.parametrize(
     "name, content, argv",
     [
@@ -297,15 +306,25 @@ def test_exit_code_validation_error(tmp_path, capsys):
          ["pg2", "--point-index", "0", "--features", "0", "--dist-config", "{path}"]),
         ("dist.json", '{"kind": "discrete", "points": [[1.0]]}',
          ["pg2", "--point-index", "0", "--features", "0", "--dist-config", "{path}"]),
+        ("model.json", '{"num_features": 2, "trees": [{"value": %s}]}' % _HUGE, _PG2),
+        ("model.json", '{"num_features": 2, "trees": [{"value": 1%s}]}' % ("0" * 5000), _PG2),
+        ("dump.json", '[{"nodeid": 0, "leaf": %s}]' % _HUGE, _CONVERT),
+        ("dump.json", _DUMP % ("f0", _HUGE, 1, 2, 1), _CONVERT),
+        ("dump.json", _DUMP % ("f0", 0.5, 1, 2, [1]), _CONVERT),
+        ("dump.json", _DUMP % ("f0", 0.5, [1], 2, 1), _CONVERT),
+        ("dump.json", _DUMP % ("f0", 0.5, 1, [2], 1), _CONVERT),
+        ("dump.json", _DUMP % ("f\\u00b2", 0.5, 1, 2, 1), _CONVERT),
     ],
     ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
-         "one-element-point"],
+         "one-element-point", "huge-leaf-value", "over-long-integer", "huge-xgboost-leaf",
+         "huge-split-condition", "list-nodeid", "list-yes", "list-no", "superscript-split"],
 )
 def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
     path = workdir / name
     path.write_text(content)
     command, *rest = argv
-    rc = main([command, *_model_arg(workdir), *(a.format(path=path) for a in rest)])
+    model = [] if command == "convert-model" else _model_arg(workdir)
+    rc = main([command, *model, *(a.format(path=path) for a in rest)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("pg2: error: ")
 

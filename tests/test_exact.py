@@ -68,7 +68,7 @@ def test_pg2_exact_uniform_hand_value():
 
 def test_pg2_two_tree_discrete_example():
     tree = depth1_tree()
-    ens = pg.TreeEnsemble(trees=(tree, pg.Tree(tree.to_node())), num_features=1)
+    ens = pg.TreeEnsemble(trees=(tree, depth1_tree()), num_features=1)
     spec = pg.PerturbationSpec.same(pg.Discrete(points=((-1.0, 0.5), (2.0, 0.5))), 1)
     # the two trees flip together with prob 0.5, gap 2 -> PG2 = 0.5 * 4
     assert pg.pg2_exact(ens, [-1.0], [0], spec) == pytest.approx(2.0, abs=1e-12)
@@ -204,7 +204,7 @@ def test_gaussian_and_uniform_goldens():
         # Interval probabilities are differences of CDF values near 1, so
         # allow their rounding on top of the relative tolerance.
         spread = sum(
-            sum(abs(tree.value[i] - tree.predict_one(x)) for i in tree.leaf_indices())
+            sum(abs(v - tree.predict_one(x)) for v in tree.value[tree.feature < 0])
             for tree in ens.trees
         )
         tol = 1e-9 * abs(want) + 1e-15 * len(feats) * spread**2

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import predgap as pg
 from predgap.errors import FormatError, ValidationError
-from predgap.model import ensemble_from_xgboost_dump
+from predgap.model import ensemble_from_dict, ensemble_from_xgboost_dump
 
 from support import canonical_ensemble, depth1_tree, random_ensemble
 
@@ -55,7 +57,7 @@ def test_additivity_over_tree_partitions():
 
 def test_two_copies_sum():
     tree = depth1_tree()
-    ens = pg.TreeEnsemble(trees=(tree, pg.Tree(tree.to_node())), num_features=1)
+    ens = pg.TreeEnsemble(trees=(tree, depth1_tree()), num_features=1)
     assert ens.predict([5.0]) == 2.0
 
 
@@ -152,6 +154,88 @@ def test_invalid_json_reports_line(tmp_path):
     path.write_text('{"num_features": 1,\n  "trees": [}')
     with pytest.raises(FormatError, match="line 2"):
         pg.load_ensemble(path)
+
+
+def test_deep_tree(tmp_path):
+    # A chain: split k sends x < k to a leaf of value 1 and x >= k on down,
+    # to a last leaf of value 0.
+    depth = 1500
+    node = pg.TreeNode.leaf(0.0)
+    for k in reversed(range(depth)):
+        node = pg.TreeNode.split(0, k, pg.TreeNode.leaf(1.0), node)
+    tree = pg.Tree(node)
+    assert tree.max_depth == depth
+    ens = pg.TreeEnsemble(trees=(tree,), num_features=1)
+    # x sits on the last threshold, so the gap is 1 exactly when the noise
+    # is negative
+    spec = pg.PerturbationSpec.gaussian(1.0, 1)
+    assert pg.pg2_exact(ens, [depth - 1.0], [0], spec) == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(FormatError, match="nested too deeply to serialize"):
+        pg.save_ensemble(ens, tmp_path / "deep.json")
+
+
+# Nested objects built from the node keys of both formats: mostly nodes
+# with every key of a canonical or an XGBoost node and small ids, so that
+# examples parse several levels deep, and arbitrary objects among them.
+_NODE_KEYS = st.sampled_from(
+    ["feature", "threshold", "left", "right", "value", "nodeid", "split", "split_condition",
+     "yes", "no", "missing", "children", "leaf"]
+)
+_NUMBERS = (
+    st.integers(-1, 3)
+    | st.floats(-3, 3)
+    | st.sampled_from([float("nan"), float("inf"), 10**400, -(10**400), 2**64, True, "1", None])
+)
+# Repeated entries weight the valid choices.
+_FEATURES = st.sampled_from([0, 1, 2, 0, 1, 2, -1, 2**64, 10**400, 1.0, True, "0"])
+_IDS = st.sampled_from([0, 1, 0, 1, 0, 1, 2, [1], {}, "1", 1.5])
+_SPLITS = st.sampled_from(
+    ["f0", "f1", 2, "f0", "f1", 2, "f", "f\u00b2", "f99999999999999999999", [0]]
+)
+_JUNK = st.recursive(
+    _NUMBERS | st.text(max_size=3), lambda inner: st.lists(inner, max_size=2), max_leaves=3
+)
+
+
+def _node_trees(leaf, split):
+    return st.lists(
+        st.recursive(
+            leaf | _JUNK,
+            lambda inner: split(inner) | st.dictionaries(_NODE_KEYS, inner, max_size=6),
+            max_leaves=12,
+        ),
+        min_size=1,
+        max_size=2,
+    )
+
+
+_CANONICAL_TREES = _node_trees(
+    st.fixed_dictionaries({"value": _NUMBERS}),
+    lambda inner: st.fixed_dictionaries(
+        {"feature": _FEATURES, "threshold": _NUMBERS, "left": inner, "right": inner}
+    ),
+)
+_XGBOOST_TREES = _node_trees(
+    st.fixed_dictionaries({"nodeid": _IDS, "leaf": _NUMBERS}),
+    lambda inner: st.fixed_dictionaries(
+        {"nodeid": _IDS, "split": _SPLITS, "split_condition": _NUMBERS, "yes": _IDS,
+         "no": _IDS, "children": st.lists(inner, min_size=2, max_size=2) | st.lists(inner)},
+        optional={"missing": _IDS},
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_CANONICAL_TREES, _XGBOOST_TREES, st.integers(1, 3))
+def test_model_loaders_raise_only_package_errors(canonical, xgboost, num_features):
+    try:
+        ensemble_from_dict({"num_features": num_features, "trees": canonical})
+    except pg.PredgapError:
+        pass
+    try:
+        ensemble_from_xgboost_dump(xgboost)
+    except pg.PredgapError:
+        pass
 
 
 # ---------------------------------------------------------------------------

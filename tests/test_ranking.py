@@ -7,6 +7,7 @@ import pytest
 
 import predgap as pg
 from predgap.errors import ValidationError
+from predgap.model import ensemble_from_dict, ensemble_to_dict
 
 from support import random_ensemble
 
@@ -96,17 +97,18 @@ def test_greedy_uses_exactly_the_triangular_call_count(monkeypatch):
 def test_greedy_invariant_under_positive_leaf_scaling():
     rng = np.random.default_rng(44)
     ens = random_ensemble(rng, num_features=4, num_trees=2, max_depth=3)
-    scaled_trees = []
-    for tree in ens.trees:
-        node = tree.to_node()
+    model = ensemble_to_dict(ens)
 
-        def scale(n):
-            if n.is_leaf:
-                return pg.TreeNode.leaf(n.value * 7.5)
-            return pg.TreeNode.split(n.feature, n.threshold, scale(n.left), scale(n.right))
+    def scale(node):
+        if "value" in node:
+            node["value"] *= 7.5
+        else:
+            scale(node["left"])
+            scale(node["right"])
 
-        scaled_trees.append(pg.Tree(scale(node)))
-    scaled = pg.TreeEnsemble(trees=tuple(scaled_trees), num_features=4)
+    for node in model["trees"]:
+        scale(node)
+    scaled = ensemble_from_dict(model)
     spec = pg.PerturbationSpec.gaussian(0.6, 4)
     x = rng.normal(size=4)
     assert pg.greedy_pg2_ranking(ens, x, spec).order == pg.greedy_pg2_ranking(scaled, x, spec).order
