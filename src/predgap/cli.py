@@ -16,16 +16,17 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .data import Dataset, load_csv, sample_pairs
-from .errors import EXIT_OK, PredgapError, ValidationError, exit_code_for
+from .errors import (
+    EXIT_OK, PredgapError, ValidationError, exit_code_for, read_json, read_text, write_text,
+)
 from .exact import pg2_exact
 from .metrics import mean_pgi2, nmae, randomization_rmse
-from .model import load_ensemble, save_ensemble
+from .model import TreeEnsemble, load_ensemble, save_ensemble
 from .perturb import PerturbationSpec, spec_from_config
 from .ranking import Ranking, greedy_pg2_ranking, load_attributions, ranking_from_attribution
 from .sampling import EstimatorConfig, pg2_sampled
@@ -55,31 +56,42 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _load_spec(args, num_features: int) -> PerturbationSpec:
-    if getattr(args, "dist_config", None):
-        try:
-            obj = json.loads(Path(args.dist_config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read distribution config: {exc}") from None
-        return spec_from_config(obj, num_features)
-    if getattr(args, "sigma", None) is None:
+    if args.dist_config:
+        return spec_from_config(read_json(args.dist_config, "distribution config"), num_features)
+    if args.sigma is None:
         raise ValidationError("either --sigma or --dist-config is required")
     return PerturbationSpec.gaussian(args.sigma, num_features)
 
 
-def _load_data(args) -> tuple[Dataset, np.ndarray | None]:
-    exclude = None
-    if getattr(args, "exclude_columns", None):
-        exclude = [name for name in args.exclude_columns.split(",") if name]
-    return load_csv(
-        args.data, label_column=getattr(args, "label_column", None), exclude=exclude
-    )
+def _load_inputs(args) -> tuple[TreeEnsemble, Dataset, np.ndarray | None]:
+    """The model, the data and its labels (None without --label-column)."""
+    ensemble = load_ensemble(args.model)
+    exclude = [name for name in (args.exclude_columns or "").split(",") if name]
+    dataset, labels = load_csv(args.data, label_column=args.label_column, exclude=exclude)
+    if dataset.num_features != ensemble.num_features:
+        raise ValidationError(
+            f"data has {dataset.num_features} features, model expects {ensemble.num_features}"
+        )
+    return ensemble, dataset, labels
+
+
+def _emit(text: str, out: str) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is '-' or empty."""
+    if out and out != "-":
+        write_text(out, text)
+    else:
+        sys.stdout.write(text)
+
+
+def _greedy_rankings(ensemble, dataset: Dataset, spec: PerturbationSpec) -> list[Ranking]:
+    return [
+        greedy_pg2_ranking(ensemble, dataset.instance(i), spec)
+        for i in range(dataset.num_instances)
+    ]
 
 
 def _rankings_from_file(path, num_features: int, num_instances: int) -> list[Ranking]:
-    try:
-        lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise ValidationError(f"cannot read rankings file: {exc}") from None
+    lines = [ln for ln in read_text(path, "rankings file").splitlines() if ln.strip()]
     try:
         rows = [tuple(int(v) for v in ln.split(",")) for ln in lines]
     except ValueError:
@@ -102,8 +114,7 @@ def _rankings_from_file(path, num_features: int, num_instances: int) -> list[Ran
 # ---------------------------------------------------------------------------
 
 def cmd_pg2(args) -> int:
-    ensemble = load_ensemble(args.model)
-    dataset, _ = _load_data(args)
+    ensemble, dataset, _ = _load_inputs(args)
     if not 0 <= args.point_index < dataset.num_instances:
         raise ValidationError(
             f"--point-index {args.point_index} outside 0..{dataset.num_instances - 1}"
@@ -138,18 +149,9 @@ def cmd_convert_model(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rank(args) -> int:
-    ensemble = load_ensemble(args.model)
-    dataset, _ = _load_data(args)
-    if dataset.num_features != ensemble.num_features:
-        raise ValidationError(
-            f"data has {dataset.num_features} features, model expects {ensemble.num_features}"
-        )
+    ensemble, dataset, _ = _load_inputs(args)
     if args.method == "greedy-pg2":
-        spec = _load_spec(args, ensemble.num_features)
-        rankings = [
-            greedy_pg2_ranking(ensemble, dataset.instance(i), spec)
-            for i in range(dataset.num_instances)
-        ]
+        rankings = _greedy_rankings(ensemble, dataset, _load_spec(args, ensemble.num_features))
     else:
         if not args.attributions:
             raise ValidationError("--method from-attribution requires --attributions")
@@ -160,11 +162,7 @@ def cmd_rank(args) -> int:
                 f"({dataset.num_instances}, {ensemble.num_features})"
             )
         rankings = [ranking_from_attribution(row) for row in phi]
-    text = "\n".join(",".join(str(i) for i in r.order) for r in rankings) + "\n"
-    if args.out and args.out != "-":
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(",".join(str(i) for i in r.order) for r in rankings) + "\n", args.out)
     return EXIT_OK
 
 
@@ -173,12 +171,7 @@ def cmd_rank(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    ensemble = load_ensemble(args.model)
-    dataset, labels = _load_data(args)
-    if dataset.num_features != ensemble.num_features:
-        raise ValidationError(
-            f"data has {dataset.num_features} features, model expects {ensemble.num_features}"
-        )
+    ensemble, dataset, labels = _load_inputs(args)
     if args.rankings:
         rankings = _rankings_from_file(
             args.rankings, ensemble.num_features, dataset.num_instances
@@ -187,10 +180,7 @@ def cmd_eval(args) -> int:
         if args.sigma_rank is None:
             raise ValidationError("--method greedy-pg2 requires --sigma-rank")
         rank_spec = PerturbationSpec.gaussian(args.sigma_rank, ensemble.num_features)
-        rankings = [
-            greedy_pg2_ranking(ensemble, dataset.instance(i), rank_spec)
-            for i in range(dataset.num_instances)
-        ]
+        rankings = _greedy_rankings(ensemble, dataset, rank_spec)
     else:
         raise ValidationError("provide --rankings FILE or --method greedy-pg2")
 
@@ -202,11 +192,9 @@ def cmd_eval(args) -> int:
     else:
         if args.k is None:
             raise ValidationError("--metric randomize-rmse requires --k")
-        use_labels = None
-        if args.rmse_against == "labels":
-            if labels is None:
-                raise ValidationError("--rmse-against labels requires --label-column")
-            use_labels = labels
+        against_labels = args.rmse_against == "labels"
+        if against_labels and labels is None:
+            raise ValidationError("--rmse-against labels requires --label-column")
         value = randomization_rmse(
             ensemble,
             dataset,
@@ -214,7 +202,7 @@ def cmd_eval(args) -> int:
             k=args.k,
             samples=args.samples,
             seed=args.seed,
-            labels=use_labels,
+            labels=labels if against_labels else None,
         )
     print(format_value(value))
     return EXIT_OK
@@ -322,7 +310,8 @@ def run_benchmark(
         "specs": specs,
         "seed": seed,
     }
-    pool = _PairPool(payload, workers)
+    # A fork pool starts all its workers at once; more than one per pair idles.
+    pool = _PairPool(payload, min(workers, pairs))
     try:
         entries = []
         for sigma_idx, sigma in enumerate(sigmas):
@@ -393,8 +382,7 @@ def report_to_csv(report: dict) -> str:
 
 
 def cmd_benchmark(args) -> int:
-    ensemble = load_ensemble(args.model)
-    dataset, _ = _load_data(args)
+    ensemble, dataset, _ = _load_inputs(args)
     sigmas = _parse_float_list(args.sigmas, "--sigmas")
     grid = _parse_int_list(args.iteration_grid, "--iteration-grid")
     sizes = _parse_int_list(args.sizes, "--sizes") if args.sizes else None
@@ -415,13 +403,9 @@ def cmd_benchmark(args) -> int:
         workers=args.workers,
         timing=args.timing,
     )
-    text = report_to_json(report)
-    if args.out and args.out != "-":
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report_to_json(report), args.out)
     if args.csv_out:
-        Path(args.csv_out).write_text(report_to_csv(report))
+        write_text(args.csv_out, report_to_csv(report))
     return EXIT_OK
 
 
@@ -437,15 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_label=True):
+    def add_common(p):
         p.add_argument("--model", required=True, help="canonical model JSON")
         p.add_argument("--data", required=True, help="dataset CSV with a header row")
-        if with_label:
-            p.add_argument("--label-column", default=None, help="column to exclude from features")
-            p.add_argument(
-                "--exclude-columns", default=None,
-                help="comma-separated columns (e.g. categorical ones) to drop",
-            )
+        p.add_argument("--label-column", default=None, help="column to exclude from features")
+        p.add_argument(
+            "--exclude-columns", default=None,
+            help="comma-separated columns (e.g. categorical ones) to drop",
+        )
 
     p = sub.add_parser("pg2", help="compute one squared prediction gap")
     add_common(p)

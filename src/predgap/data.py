@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import numbers
+import sys
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_json, read_text, write_text
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -60,49 +64,38 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
     was named; the label column and any ``exclude`` columns (e.g. categorical
     ones, which are never dropped automatically) stay out of the features.
     """
-    path = Path(path)
+    reader = csv.reader(io.StringIO(read_text(path, "data"), newline=""))
     try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows or not rows[0]:
         raise FormatError(f"{path}: missing header row")
     header = [name.strip() for name in rows[0]]
-    label_idx = None
-    if label_column is not None:
-        if label_column not in header:
-            raise ValidationError(f"{path}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
-    dropped = {label_idx} if label_idx is not None else set()
-    for name in exclude or []:
-        if name not in header:
+    for name in [label_column, *(exclude or [])]:
+        if name is not None and name not in header:
             raise ValidationError(f"{path}: no column named {name!r}")
-        dropped.add(header.index(name))
+    label_idx = None if label_column is None else header.index(label_column)
+    dropped = {label_idx, *(header.index(name) for name in exclude or [])}
     feature_cols = [j for j in range(len(header)) if j not in dropped]
     if not feature_cols:
         raise ValidationError(f"{path}: no feature columns left")
 
-    matrix = np.empty((len(rows) - 1, len(feature_cols)), dtype=np.float64)
-    labels = np.empty(len(rows) - 1, dtype=np.float64) if label_idx is not None else None
+    # The label, if any, is read as one more column after the features.
+    columns = feature_cols + ([label_idx] if label_idx is not None else [])
+    table = np.empty((len(rows) - 1, len(columns)), dtype=np.float64)
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise FormatError(f"{path}: line {r} has {len(row)} cells, expected {len(header)}")
-        for out_j, j in enumerate(feature_cols):
+        for out_j, j in enumerate(columns):
             try:
-                matrix[r - 2, out_j] = float(row[j])
+                table[r - 2, out_j] = float(row[j])
             except ValueError:
                 raise FormatError(
                     f"{path}: line {r}, column {header[j]!r}: non-numeric cell {row[j]!r}"
                 ) from None
-        if labels is not None:
-            try:
-                labels[r - 2] = float(row[label_idx])
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {r}, column {header[label_idx]!r}: non-numeric cell "
-                    f"{row[label_idx]!r}"
-                ) from None
+    matrix = table[:, : len(feature_cols)]
+    labels = table[:, -1] if label_idx is not None else None
     dataset = Dataset(values=matrix, feature_names=tuple(header[j] for j in feature_cols))
     return dataset, labels
 
@@ -127,32 +120,40 @@ def standardize(dataset: Dataset, params: dict | None = None):
             for name, m, s in zip(dataset.feature_names, means, stds)
         }
     else:
-        for name in dataset.feature_names:
-            if name not in params:
-                raise ValidationError(f"standardization params missing column {name!r}")
-            if params[name]["std"] <= 0.0:
-                raise ValidationError(f"column {name!r} has non-positive std in params")
-        means = np.array([params[n]["mean"] for n in dataset.feature_names])
-        stds = np.array([params[n]["std"] for n in dataset.feature_names])
+        means, stds = _column_stats(params, dataset.feature_names)
     values = (dataset.values - means) / stds
     return replace(dataset, values=values, standardized=True), params
 
 
 def unstandardize(dataset: Dataset, params: dict) -> Dataset:
-    means = np.array([params[n]["mean"] for n in dataset.feature_names])
-    stds = np.array([params[n]["std"] for n in dataset.feature_names])
+    means, stds = _column_stats(params, dataset.feature_names)
     return replace(dataset, values=dataset.values * stds + means, standardized=False)
 
 
+def _column_stats(params: dict, names) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and std that standardization params give each named column."""
+    stats = np.empty((2, len(names)))
+    for j, name in enumerate(names):
+        if name not in params:
+            raise ValidationError(f"standardization params missing column {name!r}")
+        entry = params[name]
+        for i, key in enumerate(("mean", "std")):
+            v = entry.get(key) if isinstance(entry, dict) else None
+            # An exact comparison, so an int past the float range fails too.
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= _FLOAT_MAX:
+                raise ValidationError(f"column {name!r}: {key} must be a finite number")
+            stats[i, j] = v
+        if stats[1, j] <= 0.0:
+            raise ValidationError(f"column {name!r} has non-positive std in params")
+    return stats[0], stats[1]
+
+
 def save_standardization(params: dict, path) -> None:
-    Path(path).write_text(json.dumps(params, indent=1) + "\n")
+    write_text(path, json.dumps(params, indent=1) + "\n")
 
 
 def load_standardization(path) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read standardization sidecar {path}: {exc}") from None
+    obj = read_json(path, "standardization sidecar")
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected an object of per-column statistics")
     return obj

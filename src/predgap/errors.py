@@ -1,4 +1,11 @@
-"""Exception hierarchy and the CLI exit codes attached to it."""
+"""Exception hierarchy, the CLI exit codes attached to it, and file IO.
+
+Every file the package reads or writes goes through ``read_text``,
+``read_json`` or ``write_text``, so a file that cannot be read, decoded or
+written is always a FormatError.
+"""
+
+import json
 
 
 class PredgapError(Exception):
@@ -28,3 +35,32 @@ def exit_code_for(exc: PredgapError) -> int:
     if isinstance(exc, NumericDomainError):
         return EXIT_NUMERIC
     return EXIT_VALIDATION
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of a file, line endings untranslated."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_json(path, what: str):
+    """The decoded JSON content of a file."""
+    try:  # the JSON decoder recurses once per level of nesting
+        return json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past the string conversion limit
+        raise FormatError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: {what} nested too deeply to parse") from None
+
+
+def write_text(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None

@@ -12,11 +12,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_json, write_text
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,16 @@ class Tree:
         """
         rows = []  # [feature, threshold, left, right, value] per node
         # Right children wait on the stack with the index of their parent;
-        # a left child is always its parent's next node.
-        stack = [(root, where, -1)]
+        # a left child is always its parent's next node.  Each entry also
+        # carries its depth, which cuts ``path`` back to the splits above it.
+        stack = [(root, where, -1, 0)]
+        path = {}  # ids of the splits above the current node, root first
         while stack:
-            obj, where, parent = stack.pop()
+            obj, where, parent, depth = stack.pop()
+            while len(path) > depth:
+                path.popitem()  # dicts pop their newest key
+            if id(obj) in path:
+                raise ValidationError(f"{where}: node is its own ancestor (a cyclic tree)")
             i = len(rows)
             if parent >= 0:
                 rows[parent][3] = i
@@ -110,8 +115,9 @@ class Tree:
             if not math.isfinite(threshold):
                 raise ValidationError(f"{where}: split threshold must be finite")
             rows.append([feature, float(threshold), i + 1, -1, 0.0])
-            stack.append((right, right_where, i))
-            stack.append((left, left_where, -1))
+            path[id(obj)] = None
+            stack.append((right, right_where, i, depth + 1))
+            stack.append((left, left_where, -1, depth + 1))
         feature, threshold, left, right, value = zip(*rows)
         self.feature, self.left, self.right = (np.array(a, dtype=np.int64) for a in (feature, left, right))
         self.threshold, self.value = (np.array(a, dtype=np.float64) for a in (threshold, value))
@@ -436,20 +442,7 @@ def load_ensemble(
     base_score: float = 0.0,
 ) -> TreeEnsemble:
     """Load a model file in the named format ('canonical' or 'xgboost-dump')."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
-    # The JSON decoder recurses once per level of nesting.
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer literal past the string conversion limit
-        raise FormatError(f"{path}: {exc}") from None
-    except RecursionError:
-        raise FormatError(f"{path}: trees nested too deeply to parse") from None
+    obj = read_json(path, "model")
     if format == "canonical":
         return ensemble_from_dict(obj)
     if format == "xgboost-dump":
@@ -464,4 +457,4 @@ def save_ensemble(ensemble: TreeEnsemble, path) -> None:
         text = json.dumps(ensemble_to_dict(ensemble), indent=1)
     except RecursionError:
         raise FormatError("model trees nested too deeply to serialize") from None
-    Path(path).write_text(text + "\n")
+    write_text(path, text + "\n")

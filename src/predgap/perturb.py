@@ -142,14 +142,8 @@ class Discrete(Distribution):
     def cdf_below(self, v: float | np.ndarray) -> float | np.ndarray:
         return _float_if_scalar(self._cum0[np.searchsorted(self._offsets, v, side="left")])
 
-    def inv_cdf(self, u: float) -> float:
-        # Generalized inverse: the smallest offset whose CDF reaches u.
-        if not 0.0 < u < 1.0:
-            raise NumericDomainError(f"inverse CDF needs u in (0, 1), got {u}")
-        i = int(np.searchsorted(self._cum, u, side="left"))
-        return float(self._offsets[min(i, len(self.points) - 1)])
-
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
+        # Generalized inverse: the smallest offset whose CDF reaches u.
         idx = np.minimum(
             np.searchsorted(self._cum, u, side="left"), len(self.points) - 1
         )

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_json, read_text
 from .exact import pg2_exact
 from .model import TreeEnsemble
 from .perturb import PerturbationSpec
@@ -99,24 +98,16 @@ def topk_agreement(
 
 def load_attributions(path) -> np.ndarray:
     """Read an attribution sidecar: CSV rows of d floats, or JSON array of arrays."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
-    if path.suffix.lower() == ".json":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc.msg}") from None
-        if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+    if Path(path).suffix.lower() == ".json":
+        rows = read_json(path, "attributions")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise FormatError(f"{path}: expected an array of arrays")
-        rows = obj
     else:
+        text = read_text(path, "attributions")
         rows = [line.split(",") for line in text.splitlines() if line.strip()]
     try:
         matrix = np.asarray(rows, dtype=np.float64)
-    except ValueError:
+    except (ValueError, TypeError, OverflowError):
         raise FormatError(f"{path}: rows are ragged or non-numeric") from None
     if matrix.ndim != 2:
         raise FormatError(f"{path}: expected one attribution vector per row")

@@ -1,8 +1,12 @@
 """The pg2 command line: outputs, determinism, and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import predgap as pg
 from predgap.cli import format_value, main, report_to_json
@@ -195,6 +199,33 @@ def test_benchmark_excludes_all_zero_truth_batch(workdir, capsys):
     assert "skipping" in capsys.readouterr().err
 
 
+def test_benchmark_pool_has_at_most_one_worker_per_pair(workdir, monkeypatch):
+    import predgap.cli as cli_mod
+
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs every task in this process."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+    args = ["benchmark", *_model_arg(workdir), "--sigmas", "0.3", "--iteration-grid", "100",
+            "--out", str(workdir / "report.json")]
+    for pairs, workers in [(1, 64), (3, 2), (2, 5)]:
+        assert main([*args, "--pairs", str(pairs), "--workers", str(workers)]) == 0
+    # one pair runs inline; otherwise one worker per pair at most
+    assert sizes == [2, 2]
+
+
 def test_eval_pgi2_matches_library(workdir, capsys):
     rc = main(
         ["eval", *_model_arg(workdir), "--method", "greedy-pg2", "--sigma-rank", "1.0",
@@ -291,6 +322,15 @@ _DUMP = (
 )
 _PG2 = ["pg2", "--point-index", "0", "--features", "0", "--sigma", "1.0"]
 _CONVERT = ["convert-model", "--input", "{path}", "--output", "{path}.canonical"]
+_DIST = ["pg2", "--point-index", "0", "--features", "0", "--dist-config", "{path}"]
+_RANKINGS = ["eval", "--rankings", "{path}", "--metric", "pgi2", "--sigma-metric", "1.0"]
+_ATTRIBUTIONS = ["rank", "--method", "from-attribution", "--attributions", "{path}"]
+_BENCH = ["benchmark", "--pairs", "2", "--sigmas", "1.0", "--iteration-grid", "10",
+          "--workers", "1"]
+_LONG_INT = "1" + "0" * 5000  # past the integer string conversion limit
+_DEEP = "[" * 5000 + "]" * 5000  # past the JSON decoder's recursion limit
+_NOT_UTF8 = b"\xff\xfe{}"
+_NO_DIR = "{path}.missing/out"  # inside a directory that does not exist
 
 
 @pytest.mark.parametrize(
@@ -314,14 +354,38 @@ _CONVERT = ["convert-model", "--input", "{path}", "--output", "{path}.canonical"
         ("dump.json", _DUMP % ("f0", 0.5, [1], 2, 1), _CONVERT),
         ("dump.json", _DUMP % ("f0", 0.5, 1, [2], 1), _CONVERT),
         ("dump.json", _DUMP % ("f\\u00b2", 0.5, 1, 2, 1), _CONVERT),
+        ("model.json", _NOT_UTF8, _PG2),
+        ("data.csv", b"a,b\n\xff,1\n", _PG2),
+        ("dist.json", _NOT_UTF8, _DIST),
+        ("rankings.csv", b"0,1\n\xff\n", _RANKINGS),
+        ("attributions.csv", b"0.1,\xff\n", _ATTRIBUTIONS),
+        ("dump.json", _NOT_UTF8, _CONVERT),
+        ("dist.json", '{"kind": "gaussian", "sigma": %s}' % _LONG_INT, _DIST),
+        ("dist.json", _DEEP, _DIST),
+        ("attributions.json", "[[%s]]" % _LONG_INT, _ATTRIBUTIONS),
+        ("attributions.json", _DEEP, _ATTRIBUTIONS),
+        ("data.csv", "a,b\n%s,1\n" % ("1" * 200_000), _PG2),
+        ("unused", "", ["rank", "--sigma", "1.0", "--out", _NO_DIR]),
+        ("unused", "", [*_BENCH, "--out", _NO_DIR]),
+        ("unused", "", [*_BENCH, "--csv-out", _NO_DIR]),
+        ("dump.json", _DUMP % ("f0", 0.5, 1, 2, 1),
+         ["convert-model", "--input", "{path}", "--output", _NO_DIR]),
     ],
     ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
          "one-element-point", "huge-leaf-value", "over-long-integer", "huge-xgboost-leaf",
-         "huge-split-condition", "list-nodeid", "list-yes", "list-no", "superscript-split"],
+         "huge-split-condition", "list-nodeid", "list-yes", "list-no", "superscript-split",
+         "non-utf8-model", "non-utf8-data", "non-utf8-dist-config", "non-utf8-rankings",
+         "non-utf8-attributions", "non-utf8-dump", "over-long-integer-dist-config",
+         "deep-dist-config", "over-long-integer-attributions", "deep-attributions",
+         "over-long-csv-field", "unwritable-rank-out", "unwritable-benchmark-out",
+         "unwritable-benchmark-csv-out", "unwritable-convert-output"],
 )
 def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
     path = workdir / name
-    path.write_text(content)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     command, *rest = argv
     model = [] if command == "convert-model" else _model_arg(workdir)
     rc = main([command, *model, *(a.format(path=path) for a in rest)])
@@ -373,3 +437,62 @@ def test_exit_code_numeric_domain(workdir, monkeypatch, capsys):
     assert rc == 4
     assert "synthetic" in capsys.readouterr().err
     assert exit_code_for(NumericDomainError("x")) == 4
+
+
+# The file each fuzzed flag reads, and a command that reads it beside the
+# valid model and data of ``_fuzz_dir``: {path} is the fuzzed file, {d} that
+# directory.
+_FUZZ_INPUTS = ["--model", "{d}/model.json", "--data", "{d}/data.csv"]
+_FUZZED_FLAGS = [
+    ("model.json", ["pg2", "--model", "{path}", "--data", "{d}/data.csv", *_PG2[1:]]),
+    ("data.csv", ["pg2", "--model", "{d}/model.json", "--data", "{path}", *_PG2[1:]]),
+    ("dist.json", [_DIST[0], *_FUZZ_INPUTS, *_DIST[1:]]),
+    ("rankings.csv", [_RANKINGS[0], *_FUZZ_INPUTS, *_RANKINGS[1:]]),
+    ("attributions.csv", [_ATTRIBUTIONS[0], *_FUZZ_INPUTS, *_ATTRIBUTIONS[1:]]),
+    ("attributions.json", [_ATTRIBUTIONS[0], *_FUZZ_INPUTS, *_ATTRIBUTIONS[1:]]),
+    ("dump.json", ["convert-model", "--input", "{path}", "--output", "{d}/converted.json"]),
+]
+_JSON_KEYS = st.sampled_from(
+    ["num_features", "trees", "feature", "threshold", "left", "right", "value", "kind",
+     "sigma", "half_width", "points", "nodeid", "split", "split_condition", "yes", "no",
+     "children", "leaf"]
+) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10**400, 2**64]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=8,
+)
+_TABLE = st.lists(st.lists(_JSON, max_size=2), max_size=3)  # the shape of most inputs
+_CSV = st.lists(
+    st.lists(st.sampled_from(["0", "1", "-0.5", "a", "b", "nan", "", '"', "1e999"]),
+             max_size=3).map(",".join),
+    max_size=5,
+).map("\n".join)
+_CONTENTS = (
+    st.binary(max_size=40)
+    | (_JSON | _TABLE).map(lambda obj: json.dumps(obj).encode())
+    | _CSV.map(str.encode)
+)
+
+
+@pytest.fixture(scope="module")
+def _fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    pg.save_ensemble(canonical_ensemble(num_features=2), root / "model.json")
+    (root / "data.csv").write_text("a,b\n-1.0,0.5\n0.5,-0.3\n")
+    return root
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_FUZZED_FLAGS), _CONTENTS)
+def test_cli_file_contents_never_escape(_fuzz_dir, flag, content):
+    name, argv = flag
+    path = _fuzz_dir / "fuzzed" / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(content)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main([a.format(path=path, d=_fuzz_dir) for a in argv])
+    assert rc in (0, 3, 4)
+    assert rc == 0 or stderr.getvalue().startswith("pg2: error: ")

@@ -89,6 +89,32 @@ def test_standardization_sidecar_round_trip(tmp_path):
     assert load_standardization(path) == params
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"mean": 0.0}, 1.0, {"mean": "0", "std": 1.0}, {"mean": 0.0, "std": "1"},
+     {"mean": True, "std": 1.0}, {"mean": float("nan"), "std": 1.0},
+     {"mean": 0.0, "std": float("inf")}, {"mean": 10**400, "std": 1.0},
+     {"mean": 0.0, "std": 0.0}],
+    ids=["no-std", "not-an-object", "string-mean", "string-std", "bool-mean", "nan-mean",
+         "infinite-std", "huge-mean", "zero-std"],
+)
+def test_malformed_standardization_params(entry):
+    data = pg.Dataset(values=np.array([[0.0], [2.0]]), feature_names=("x",))
+    with pytest.raises(ValidationError, match="'x'"):
+        pg.standardize(data, {"x": entry})
+    with pytest.raises(ValidationError, match="'x'"):
+        pg.unstandardize(data, {"x": entry})
+
+
+def test_unreadable_standardization_sidecar(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_bytes(b'{"x": \xff}')
+    with pytest.raises(FormatError, match="standardization sidecar"):
+        load_standardization(path)
+    with pytest.raises(FormatError, match="cannot write"):
+        save_standardization({}, tmp_path / "missing" / "params.json")
+
+
 def test_split_sizes_and_determinism():
     data = pg.Dataset(
         values=np.arange(20, dtype=np.float64).reshape(10, 2),

@@ -1,6 +1,8 @@
 """Tree construction, routing semantics, serialization, and the importers."""
 
+import contextlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -172,6 +174,43 @@ def test_deep_tree(tmp_path):
     assert pg.pg2_exact(ens, [depth - 1.0], [0], spec) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(FormatError, match="nested too deeply to serialize"):
         pg.save_ensemble(ens, tmp_path / "deep.json")
+
+
+def test_shared_child_is_not_a_cycle():
+    leaf = pg.TreeNode.leaf(2.0)
+    half = pg.TreeNode.split(1, 0.0, leaf, leaf)
+    tree = pg.Tree(pg.TreeNode.split(0, 0.0, half, half))
+    assert tree.node_count == 7 and tree.leaf_count == 4
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging if the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_cyclic_canonical_dict_rejected():
+    node = {"feature": 0, "threshold": 0.5, "left": {"value": 1.0}}
+    node["right"] = node
+    with _deadline(2), pytest.raises(ValidationError, match=r"trees\[0\]\.right.*cyclic"):
+        ensemble_from_dict({"num_features": 1, "trees": [node]})
+
+
+def test_cyclic_xgboost_dict_rejected():
+    node = {"nodeid": 0, "split": "f0", "split_condition": 0.5, "yes": 1, "no": 0}
+    node["children"] = [{"nodeid": 1, "leaf": 1.0}, node]
+    with _deadline(2), pytest.raises(ValidationError, match=r"tree\[0\]\.no.*cyclic"):
+        ensemble_from_xgboost_dump([node])
 
 
 # Nested objects built from the node keys of both formats: mostly nodes
