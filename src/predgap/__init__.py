@@ -9,7 +9,7 @@ with the evaluation tooling around them.
 
 __version__ = "0.1.0"
 
-from .data import Dataset, PairSample, load_csv, sample_pairs, split, standardize, unstandardize
+from .data import Dataset, PairSample, load_csv, sample_pairs, split, standardize
 from .errors import FormatError, NumericDomainError, PredgapError, ValidationError
 from .exact import (
     LeafPairTable,
@@ -21,7 +21,6 @@ from .metrics import mean_pgi2, nmae, pgi2, randomization_rmse, xi_random
 from .model import (
     Tree,
     TreeEnsemble,
-    TreeNode,
     as_feature_vector,
     load_ensemble,
     save_ensemble,
@@ -33,8 +32,6 @@ from .perturb import (
     PerturbationSpec,
     Uniform,
     halton_matrix,
-    halton_point,
-    radical_inverse,
     spec_from_config,
 )
 from .ranking import Ranking, greedy_pg2_ranking, ranking_from_attribution, topk_agreement
@@ -55,13 +52,11 @@ __all__ = [
     "Ranking",
     "Tree",
     "TreeEnsemble",
-    "TreeNode",
     "Uniform",
     "ValidationError",
     "as_feature_vector",
     "greedy_pg2_ranking",
     "halton_matrix",
-    "halton_point",
     "leaf_pair_probabilities",
     "load_csv",
     "load_ensemble",
@@ -72,7 +67,6 @@ __all__ = [
     "pg2_sampled",
     "pg_abs_sampled",
     "pgi2",
-    "radical_inverse",
     "randomization_rmse",
     "ranking_from_attribution",
     "sample_pairs",
@@ -81,6 +75,5 @@ __all__ = [
     "split",
     "standardize",
     "topk_agreement",
-    "unstandardize",
     "xi_random",
 ]

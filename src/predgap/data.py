@@ -95,7 +95,14 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
                     f"{path}: line {r}, column {header[j]!r}: non-numeric cell {row[j]!r}"
                 ) from None
     matrix = table[:, : len(feature_cols)]
-    labels = table[:, -1] if label_idx is not None else None
+    labels = None
+    if label_idx is not None:
+        labels = table[:, -1]
+        bad = np.flatnonzero(~np.isfinite(labels))
+        if bad.size:
+            raise ValidationError(
+                f"{path}: line {bad[0] + 2}, column {label_column!r}: non-finite label"
+            )
     dataset = Dataset(values=matrix, feature_names=tuple(header[j] for j in feature_cols))
     return dataset, labels
 
@@ -123,11 +130,6 @@ def standardize(dataset: Dataset, params: dict | None = None):
         means, stds = _column_stats(params, dataset.feature_names)
     values = (dataset.values - means) / stds
     return replace(dataset, values=values, standardized=True), params
-
-
-def unstandardize(dataset: Dataset, params: dict) -> Dataset:
-    means, stds = _column_stats(params, dataset.feature_names)
-    return replace(dataset, values=dataset.values * stds + means, standardized=False)
 
 
 def _column_stats(params: dict, names) -> tuple[np.ndarray, np.ndarray]:

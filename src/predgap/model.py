@@ -4,62 +4,25 @@ Trees use single-feature splits with strict-less-than routing: an input goes
 to the left child when ``x[feature] < threshold`` and to the right child
 otherwise, so threshold ties always route right.  The ensemble prediction is
 the plain sum of per-tree leaf values.
+
+``Tree(root)`` reads the canonical model file's node schema, the same
+nested dicts that ``ensemble_from_dict`` reads for each entry of a file's
+``trees``: a leaf is ``{"value": v}`` and a split is ``{"feature": f,
+"threshold": t, "left": node, "right": node}``.  XGBoost dumps have their
+own node reader; both fill the same five pre-order arrays.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, ValidationError, read_json, write_text
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """A split node or a leaf.  Exactly one of the two shapes is populated."""
-
-    feature: int | None = None
-    threshold: float | None = None
-    left: TreeNode | None = None
-    right: TreeNode | None = None
-    value: float | None = None
-
-    def __post_init__(self) -> None:
-        split_fields = (self.feature, self.threshold, self.left, self.right)
-        if self.value is not None:
-            if any(f is not None for f in split_fields):
-                raise ValidationError("a leaf node cannot carry split fields")
-            if not math.isfinite(self.value):
-                raise ValidationError("leaf value must be finite")
-        else:
-            if any(f is None for f in split_fields):
-                raise ValidationError(
-                    "a split node needs feature, threshold and both children"
-                )
-            if self.feature < 0:
-                raise ValidationError(f"negative feature index {self.feature}")
-            if not math.isfinite(self.threshold):
-                raise ValidationError("split threshold must be finite")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
-
-    @staticmethod
-    def leaf(value: float) -> TreeNode:
-        return TreeNode(value=float(value))
-
-    @staticmethod
-    def split(
-        feature: int, threshold: float, left: TreeNode, right: TreeNode
-    ) -> TreeNode:
-        return TreeNode(
-            feature=int(feature), threshold=float(threshold), left=left, right=right
-        )
 
 
 _MAX_FEATURE = np.iinfo(np.int64).max  # feature indices are stored as int64
@@ -78,8 +41,9 @@ class Tree:
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def __init__(self, root: TreeNode) -> None:
-        self._fill(root, _tree_node_fields, "tree")
+    def __init__(self, root) -> None:
+        """Build from a nested node dict in the model file's schema."""
+        self._fill(root, _canonical_node_fields, "tree")
 
     def _fill(self, root, read_node, where: str) -> None:
         """Lay the nodes below ``root`` out in pre-order.
@@ -171,13 +135,6 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(nodes={self.node_count}, leaves={self.leaf_count})"
-
-
-def _tree_node_fields(node: TreeNode, where: str):
-    # A TreeNode checked its own shape when it was built.
-    if node.is_leaf:
-        return node.value
-    return node.feature, node.threshold, node.left, where + ".left", node.right, where + ".right"
 
 
 def _parse_tree(root, read_node, where: str) -> Tree:
@@ -294,7 +251,9 @@ def as_feature_vector(x, num_features: int) -> np.ndarray:
 
 def _number(obj: dict, key: str, where: str) -> float:
     v = obj[key]
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    # float and int come first, so the numbers of a JSON file skip the
+    # slower abstract-base-class check (numpy scalars take that path).
+    if isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool):
         try:
             return float(v)
         except OverflowError:  # an integer literal beyond the float range
@@ -309,10 +268,11 @@ def _canonical_node_fields(obj, where: str):
     if keys == {"value"}:
         return _number(obj, "value", where)
     if keys == {"feature", "threshold", "left", "right"}:
-        if not isinstance(obj["feature"], int) or isinstance(obj["feature"], bool):
+        feature = obj["feature"]
+        if not isinstance(feature, (int, numbers.Integral)) or isinstance(feature, bool):
             raise FormatError(f"{where}: feature must be an integer")
         threshold = _number(obj, "threshold", where)
-        return obj["feature"], threshold, obj["left"], where + ".left", obj["right"], where + ".right"
+        return int(feature), threshold, obj["left"], where + ".left", obj["right"], where + ".right"
     if keys & {"feature", "threshold", "left", "right", "value"}:
         raise ValidationError(
             f"{where}: node is neither a complete split nor a pure leaf "
@@ -427,7 +387,7 @@ def ensemble_from_xgboost_dump(
     if num_features is None:
         num_features = max(max(int(t.feature.max()) for t in trees) + 1, 1)
     if base_score != 0.0:
-        trees.append(Tree(TreeNode.leaf(base_score)))
+        trees.append(Tree({"value": base_score}))
     return TreeEnsemble(trees=tuple(trees), num_features=num_features)
 
 

@@ -251,30 +251,8 @@ def _first_primes(count: int) -> tuple[int, ...]:
 _PRIMES = _first_primes(256)
 
 
-def radical_inverse(index: int, base: int) -> float:
-    """Reflect the base-``base`` digits of ``index`` about the radix point."""
-    inv = 0.0
-    scale = 1.0 / base
-    while index > 0:
-        index, digit = divmod(index, base)
-        inv += digit * scale
-        scale /= base
-    return inv
-
-
-def halton_point(index: int, dim: int) -> tuple[float, ...]:
-    """The ``index``-th Halton point (1-based, unscrambled) in [0, 1)^dim."""
-    if index < 1:
-        raise ValidationError(f"halton index must be >= 1, got {index}")
-    if not 1 <= dim <= len(_PRIMES):
-        raise ValidationError(
-            f"halton dimension {dim} outside the prime-table capacity (1..{len(_PRIMES)})"
-        )
-    return tuple(radical_inverse(index, _PRIMES[j]) for j in range(dim))
-
-
 def halton_matrix(count: int, dim: int) -> np.ndarray:
-    """Halton points for indices 1..count, one row per index."""
+    """Unscrambled Halton points in [0, 1)^dim for indices 1..count, one row per index."""
     if count < 1:
         raise ValidationError(f"need at least one halton point, got {count}")
     if not 1 <= dim <= len(_PRIMES):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 import predgap as pg
+from predgap.perturb import _PRIMES
 
 # Standard normal CDF at 1, to double precision.
 PHI_1 = 0.8413447460685429
@@ -13,10 +14,18 @@ PHI_1 = 0.8413447460685429
 CANONICAL_PG2 = 1.0 - PHI_1
 
 
+def leaf(value) -> dict:
+    """A leaf node in the model file's schema."""
+    return {"value": value}
+
+
+def split(feature, threshold, left, right) -> dict:
+    """A split node in the model file's schema: x[feature] < threshold goes left."""
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
+
+
 def depth1_tree(threshold=0.0, left=0.0, right=1.0) -> pg.Tree:
-    return pg.Tree(
-        pg.TreeNode.split(0, threshold, pg.TreeNode.leaf(left), pg.TreeNode.leaf(right))
-    )
+    return pg.Tree(split(0, threshold, leaf(left), leaf(right)))
 
 
 def canonical_ensemble(num_features=1) -> pg.TreeEnsemble:
@@ -27,8 +36,8 @@ def canonical_ensemble(num_features=1) -> pg.TreeEnsemble:
 def perfect_tree(rng, num_features, depth) -> pg.Tree:
     def build(level):
         if level == depth:
-            return pg.TreeNode.leaf(rng.normal())
-        return pg.TreeNode.split(
+            return leaf(rng.normal())
+        return split(
             int(rng.integers(num_features)),
             float(rng.normal(0.0, 0.8)),
             build(level + 1),
@@ -44,12 +53,12 @@ def random_tree(rng, num_features, max_depth, lattice_p=0.6) -> pg.Tree:
 
     def build(depth):
         if depth >= max_depth or (depth > 0 and rng.random() < 0.3):
-            return pg.TreeNode.leaf(rng.normal())
+            return leaf(rng.normal())
         if rng.random() < lattice_p:
             t = float(rng.integers(-2, 3))
         else:
             t = float(rng.normal())
-        return pg.TreeNode.split(int(rng.integers(num_features)), t, build(depth + 1), build(depth + 1))
+        return split(int(rng.integers(num_features)), t, build(depth + 1), build(depth + 1))
 
     return pg.Tree(build(0))
 
@@ -98,3 +107,20 @@ def fixture_ensemble():
         for i in range(8)
     ]
     return ensemble, pairs
+
+
+def radical_inverse(index: int, base: int) -> float:
+    """Reflect the base-``base`` digits of ``index`` about the radix point."""
+    inv = 0.0
+    scale = 1.0 / base
+    while index > 0:
+        index, digit = divmod(index, base)
+        inv += digit * scale
+        scale /= base
+    return inv
+
+
+def halton_point(index: int, dim: int) -> tuple[float, ...]:
+    """The ``index``-th Halton point (1-based, unscrambled), one coordinate
+    at a time: the scalar oracle for ``pg.halton_matrix``."""
+    return tuple(radical_inverse(index, _PRIMES[j]) for j in range(dim))

@@ -12,7 +12,7 @@ import predgap as pg
 from predgap.cli import format_value, main, report_to_json
 from predgap.errors import NumericDomainError, exit_code_for
 
-from support import canonical_ensemble
+from support import canonical_ensemble, leaf
 
 
 @pytest.fixture
@@ -247,7 +247,7 @@ def test_eval_pgi2_matches_library(workdir, capsys):
 def test_eval_constant_model_zero(tmp_path, capsys):
     model = tmp_path / "const.json"
     pg.save_ensemble(
-        pg.TreeEnsemble(trees=(pg.Tree(pg.TreeNode.leaf(2.0)),), num_features=1), model
+        pg.TreeEnsemble(trees=(pg.Tree(leaf(2.0)),), num_features=1), model
     )
     data = tmp_path / "d.csv"
     data.write_text("x\n1.0\n2.0\n")
@@ -331,6 +331,8 @@ _LONG_INT = "1" + "0" * 5000  # past the integer string conversion limit
 _DEEP = "[" * 5000 + "]" * 5000  # past the JSON decoder's recursion limit
 _NOT_UTF8 = b"\xff\xfe{}"
 _NO_DIR = "{path}.missing/out"  # inside a directory that does not exist
+_LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-against",
+           "labels", "--method", "greedy-pg2", "--sigma-rank", "1.0", "--k", "1"]
 
 
 @pytest.mark.parametrize(
@@ -370,6 +372,8 @@ _NO_DIR = "{path}.missing/out"  # inside a directory that does not exist
         ("unused", "", [*_BENCH, "--csv-out", _NO_DIR]),
         ("dump.json", _DUMP % ("f0", 0.5, 1, 2, 1),
          ["convert-model", "--input", "{path}", "--output", _NO_DIR]),
+        ("data.csv", "a,b,y\n-1.0,0.5,nan\n0.5,-0.3,1.0\n", _LABELS),
+        ("data.csv", "a,b,y\n-1.0,0.5,1.0\n0.5,-0.3,inf\n", _LABELS),
     ],
     ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
          "one-element-point", "huge-leaf-value", "over-long-integer", "huge-xgboost-leaf",
@@ -378,7 +382,8 @@ _NO_DIR = "{path}.missing/out"  # inside a directory that does not exist
          "non-utf8-attributions", "non-utf8-dump", "over-long-integer-dist-config",
          "deep-dist-config", "over-long-integer-attributions", "deep-attributions",
          "over-long-csv-field", "unwritable-rank-out", "unwritable-benchmark-out",
-         "unwritable-benchmark-csv-out", "unwritable-convert-output"],
+         "unwritable-benchmark-csv-out", "unwritable-convert-output", "nan-label",
+         "inf-label"],
 )
 def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
     path = workdir / name

@@ -78,8 +78,9 @@ def test_standardize_round_trip():
         feature_names=("a", "b", "c", "d"),
     )
     out, params = pg.standardize(data)
-    back = pg.unstandardize(out, params)
-    assert np.abs(back.values - data.values).max() < 1e-12
+    mean = np.array([params[name]["mean"] for name in data.feature_names])
+    std = np.array([params[name]["std"] for name in data.feature_names])
+    assert np.abs(out.values * std + mean - data.values).max() < 1e-12
 
 
 def test_standardization_sidecar_round_trip(tmp_path):
@@ -102,8 +103,6 @@ def test_malformed_standardization_params(entry):
     data = pg.Dataset(values=np.array([[0.0], [2.0]]), feature_names=("x",))
     with pytest.raises(ValidationError, match="'x'"):
         pg.standardize(data, {"x": entry})
-    with pytest.raises(ValidationError, match="'x'"):
-        pg.unstandardize(data, {"x": entry})
 
 
 def test_unreadable_standardization_sidecar(tmp_path):

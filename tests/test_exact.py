@@ -16,13 +16,15 @@ from support import (
     canonical_ensemble,
     depth1_tree,
     lattice_point,
+    leaf,
     random_discrete,
     random_ensemble,
+    split,
 )
 
 
 def test_single_leaf_table():
-    ens = pg.TreeEnsemble(trees=(pg.Tree(pg.TreeNode.leaf(3.0)),), num_features=2)
+    ens = pg.TreeEnsemble(trees=(pg.Tree(leaf(3.0)),), num_features=2)
     spec = pg.PerturbationSpec.gaussian(1.0, 2)
     table = pg.leaf_pair_probabilities(ens, [0.0, 0.0], [0, 1], spec)
     assert table.leaf_prob == {(0, 0): 1.0}
@@ -147,8 +149,8 @@ def test_unused_features_give_exact_zero():
 def test_off_path_single_tree_gives_exact_zero():
     # the perturbed feature appears in the tree but not on any path the
     # perturbation can reroute: x routes at a non-perturbed split first
-    left = pg.TreeNode.split(1, 0.0, pg.TreeNode.leaf(1.0), pg.TreeNode.leaf(2.0))
-    root = pg.TreeNode.split(0, 0.0, pg.TreeNode.leaf(-1.0), left)
+    left = split(1, 0.0, leaf(1.0), leaf(2.0))
+    root = split(0, 0.0, leaf(-1.0), left)
     ens = pg.TreeEnsemble(trees=(pg.Tree(root),), num_features=2)
     spec = pg.PerturbationSpec.gaussian(3.0, 2)
     # x goes left at the root (feature 0, unperturbed) to a plain leaf

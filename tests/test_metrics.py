@@ -8,7 +8,7 @@ import pytest
 import predgap as pg
 from predgap.errors import NumericDomainError, ValidationError
 
-from support import CANONICAL_PG2, canonical_ensemble
+from support import CANONICAL_PG2, canonical_ensemble, leaf
 
 
 def _dataset(matrix, names=None):
@@ -25,7 +25,7 @@ def test_pgi2_single_feature():
 
 
 def test_pgi2_constant_model_is_zero():
-    ens = pg.TreeEnsemble(trees=(pg.Tree(pg.TreeNode.leaf(4.2)),), num_features=3)
+    ens = pg.TreeEnsemble(trees=(pg.Tree(leaf(4.2)),), num_features=3)
     spec = pg.PerturbationSpec.gaussian(1.0, 3)
     assert pg.pgi2(ens, [0.0, 1.0, 2.0], pg.Ranking(order=(0, 1, 2)), spec) == 0.0
 
@@ -101,7 +101,7 @@ def test_xi_random_keep_all_is_exact_prediction():
 
 
 def test_xi_random_constant_model():
-    ens = pg.TreeEnsemble(trees=(pg.Tree(pg.TreeNode.leaf(2.5)),), num_features=2)
+    ens = pg.TreeEnsemble(trees=(pg.Tree(leaf(2.5)),), num_features=2)
     data = _dataset(np.random.default_rng(1).normal(size=(16, 2)))
     value = pg.xi_random(ens, [0.0, 0.0], [], data, samples=50, seed=3)
     assert value == pytest.approx(2.5, abs=1e-12)
@@ -130,7 +130,7 @@ def test_randomization_rmse_k0_and_constant_model():
     data = _dataset(np.random.default_rng(5).normal(size=(6, 2)))
     rankings = [pg.Ranking(order=(0, 1))] * 6
     assert pg.randomization_rmse(ens, data, rankings, k=0, samples=16, seed=1) == 0.0
-    const = pg.TreeEnsemble(trees=(pg.Tree(pg.TreeNode.leaf(1.0)),), num_features=2)
+    const = pg.TreeEnsemble(trees=(pg.Tree(leaf(1.0)),), num_features=2)
     assert pg.randomization_rmse(const, data, rankings, k=2, samples=16, seed=1) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -161,7 +161,7 @@ def test_randomization_rmse_matches_column_enumeration():
 
 
 def test_randomization_rmse_against_labels():
-    const = pg.TreeEnsemble(trees=(pg.Tree(pg.TreeNode.leaf(1.0)),), num_features=1)
+    const = pg.TreeEnsemble(trees=(pg.Tree(leaf(1.0)),), num_features=1)
     data = _dataset([[0.0], [1.0]])
     rankings = [pg.Ranking(order=(0,))] * 2
     # xi is always 1.0; labels 0 and 1 give squared errors 1 and 0

@@ -13,11 +13,11 @@ import predgap as pg
 from predgap.errors import FormatError, ValidationError
 from predgap.model import ensemble_from_dict, ensemble_from_xgboost_dump
 
-from support import canonical_ensemble, depth1_tree, random_ensemble
+from support import canonical_ensemble, depth1_tree, leaf, random_ensemble, split
 
 
 def test_single_leaf_ensemble():
-    ens = pg.TreeEnsemble(trees=(pg.Tree(pg.TreeNode.leaf(3.0)),), num_features=2)
+    ens = pg.TreeEnsemble(trees=(pg.Tree(leaf(3.0)),), num_features=2)
     assert len(ens.trees) == 1
     assert ens.node_count == 1
     assert ens.leaf_count == 1
@@ -36,12 +36,8 @@ def test_depth1_counts_and_routing():
 
 
 def test_perfect_depth2_counts():
-    inner = pg.TreeNode.split(
-        1, 0.5, pg.TreeNode.leaf(1.0), pg.TreeNode.leaf(2.0)
-    )
-    root = pg.TreeNode.split(
-        0, 0.0, inner, pg.TreeNode.split(1, -0.5, pg.TreeNode.leaf(3.0), pg.TreeNode.leaf(4.0))
-    )
+    inner = split(1, 0.5, leaf(1.0), leaf(2.0))
+    root = split(0, 0.0, inner, split(1, -0.5, leaf(3.0), leaf(4.0)))
     ens = pg.TreeEnsemble(trees=(pg.Tree(root),), num_features=2)
     assert ens.node_count == 7
     assert ens.leaf_count == 4
@@ -90,16 +86,29 @@ def test_predict_validation():
 
 
 def test_node_shape_validation():
+    missing_right = {"feature": 0, "threshold": 1.0, "left": leaf(0.0)}
     with pytest.raises(ValidationError):
-        pg.TreeNode(feature=0, threshold=1.0, left=pg.TreeNode.leaf(0.0), right=None)
+        pg.Tree(missing_right)
     with pytest.raises(ValidationError):
-        pg.TreeNode(value=1.0, feature=0)
+        pg.Tree({"value": 1.0, "feature": 0})
     with pytest.raises(ValidationError):
-        pg.TreeNode.split(0, float("nan"), pg.TreeNode.leaf(0.0), pg.TreeNode.leaf(1.0))
+        pg.Tree(split(0, float("nan"), leaf(0.0), leaf(1.0)))
+
+
+def test_tree_reads_the_model_file_schema():
+    root = split(1, 0.25, leaf(-1.5), split(0, -2.0, leaf(0.5), leaf(3.0)))
+    loaded = ensemble_from_dict({"num_features": 2, "trees": [root]}).trees[0]
+    assert pg.Tree(root) == loaded
+    # numpy scalars build the same arrays as the Python numbers they hold
+    numpy_root = split(
+        np.int64(1), np.float32(0.25), leaf(np.float32(-1.5)),
+        split(np.int64(0), np.float64(-2.0), leaf(np.float32(0.5)), leaf(np.int64(3))),
+    )
+    assert pg.Tree(numpy_root) == loaded
 
 
 def test_feature_index_out_of_range():
-    tree = pg.Tree(pg.TreeNode.split(3, 0.0, pg.TreeNode.leaf(0.0), pg.TreeNode.leaf(1.0)))
+    tree = pg.Tree(split(3, 0.0, leaf(0.0), leaf(1.0)))
     with pytest.raises(ValidationError, match="feature 3"):
         pg.TreeEnsemble(trees=(tree,), num_features=2)
 
@@ -162,9 +171,9 @@ def test_deep_tree(tmp_path):
     # A chain: split k sends x < k to a leaf of value 1 and x >= k on down,
     # to a last leaf of value 0.
     depth = 1500
-    node = pg.TreeNode.leaf(0.0)
+    node = leaf(0.0)
     for k in reversed(range(depth)):
-        node = pg.TreeNode.split(0, k, pg.TreeNode.leaf(1.0), node)
+        node = split(0, k, leaf(1.0), node)
     tree = pg.Tree(node)
     assert tree.max_depth == depth
     ens = pg.TreeEnsemble(trees=(tree,), num_features=1)
@@ -177,9 +186,9 @@ def test_deep_tree(tmp_path):
 
 
 def test_shared_child_is_not_a_cycle():
-    leaf = pg.TreeNode.leaf(2.0)
-    half = pg.TreeNode.split(1, 0.0, leaf, leaf)
-    tree = pg.Tree(pg.TreeNode.split(0, 0.0, half, half))
+    shared = leaf(2.0)
+    half = split(1, 0.0, shared, shared)
+    tree = pg.Tree(split(0, 0.0, half, half))
     assert tree.node_count == 7 and tree.leaf_count == 4
 
 

@@ -9,13 +9,11 @@ import predgap as pg
 from predgap.errors import ValidationError
 from predgap.model import ensemble_from_dict, ensemble_to_dict
 
-from support import random_ensemble
+from support import leaf, random_ensemble, split
 
 
 def _single_feature_model(feature, num_features):
-    tree = pg.Tree(
-        pg.TreeNode.split(feature, 0.0, pg.TreeNode.leaf(0.0), pg.TreeNode.leaf(1.0))
-    )
+    tree = pg.Tree(split(feature, 0.0, leaf(0.0), leaf(1.0)))
     return pg.TreeEnsemble(trees=(tree,), num_features=num_features)
 
 
@@ -38,9 +36,9 @@ def test_greedy_puts_the_only_used_feature_first():
 
 
 def test_greedy_prefers_the_large_spread_feature():
-    lo = pg.TreeNode.split(1, 0.0, pg.TreeNode.leaf(-10.1), pg.TreeNode.leaf(-9.9))
-    hi = pg.TreeNode.split(1, 0.0, pg.TreeNode.leaf(9.9), pg.TreeNode.leaf(10.1))
-    ens = pg.TreeEnsemble(trees=(pg.Tree(pg.TreeNode.split(0, 0.0, lo, hi)),), num_features=2)
+    lo = split(1, 0.0, leaf(-10.1), leaf(-9.9))
+    hi = split(1, 0.0, leaf(9.9), leaf(10.1))
+    ens = pg.TreeEnsemble(trees=(pg.Tree(split(0, 0.0, lo, hi)),), num_features=2)
     spec = pg.PerturbationSpec.gaussian(1.0, 2)
     ranking = pg.greedy_pg2_ranking(ens, [-1.0, -1.0], spec)
     assert ranking.order == (0, 1)
@@ -55,9 +53,9 @@ def test_greedy_single_feature_model():
 def test_greedy_inert_features_trail_when_used_features_help():
     # both used features strictly increase the gap at every greedy step,
     # so the unused features must fill the tail in index order
-    lo = pg.TreeNode.split(2, 0.0, pg.TreeNode.leaf(-10.1), pg.TreeNode.leaf(-9.9))
-    hi = pg.TreeNode.split(2, 0.0, pg.TreeNode.leaf(9.9), pg.TreeNode.leaf(10.1))
-    ens = pg.TreeEnsemble(trees=(pg.Tree(pg.TreeNode.split(1, 0.0, lo, hi)),), num_features=4)
+    lo = split(2, 0.0, leaf(-10.1), leaf(-9.9))
+    hi = split(2, 0.0, leaf(9.9), leaf(10.1))
+    ens = pg.TreeEnsemble(trees=(pg.Tree(split(1, 0.0, lo, hi)),), num_features=4)
     spec = pg.PerturbationSpec.gaussian(1.0, 4)
     ranking = pg.greedy_pg2_ranking(ens, [0.3, -1.0, -1.0, 0.4], spec)
     assert ranking.order == (1, 2, 0, 3)

@@ -6,7 +6,7 @@ import pytest
 import predgap as pg
 from predgap.errors import ValidationError
 
-from support import CANONICAL_PG2, canonical_ensemble
+from support import CANONICAL_PG2, canonical_ensemble, leaf, split
 
 
 def _spec():
@@ -48,9 +48,7 @@ def test_abs_gap_canonical():
 def test_abs_gap_symmetric_leaves_self_oracle():
     # leaves -1/+1 with x on the threshold: check a moderate run against a
     # ten-million-draw reference instead of a closed form
-    tree = pg.Tree(
-        pg.TreeNode.split(0, 0.0, pg.TreeNode.leaf(-1.0), pg.TreeNode.leaf(1.0))
-    )
+    tree = pg.Tree(split(0, 0.0, leaf(-1.0), leaf(1.0)))
     ens = pg.TreeEnsemble(trees=(tree,), num_features=1)
     reference = pg.pg_abs_sampled(
         ens, [0.0], [0], _spec(), pg.EstimatorConfig("mc", 10_000_000, seed=999)
