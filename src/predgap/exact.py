@@ -17,9 +17,17 @@ of the leaf x reaches, the gap is
     PG2 = sum_u P[u, u] y_u^2 + 2 sum_{i<j} y_i' P_ij y_j,
 
 where P_ij is the block of P between the alive leaves of trees i and j.
-Blocks are evaluated one tree pair at a time with array calls to
-``Distribution.interval_prob``, so the work is |S| * sum_{i<j} A_i A_j for
-A_i alive leaves in tree i, and memory is one block.
+``cdf_below`` (F) is non-decreasing, so each factor of a pair is
+
+    max(0, min(F(hi_u - x_q), F(hi_v - x_q)) - max(F(lo_u - x_q), F(lo_v - x_q))),
+
+bit for bit ``interval_prob`` on the intersected ends, since F(min(a, b)) =
+min(F(a), F(b)) and F(max(a, b)) = max(F(a), F(b)).  F is evaluated once
+per alive leaf end, and blocks are built one tree pair at a time from outer
+min/max of those values.  The work is 2 |S| A CDF evaluations for A alive
+leaves plus |S| * sum_{i<j} A_i A_j min/max/subtract for A_i alive leaves
+in tree i; the diagonal takes |S| ``interval_prob`` array calls; memory is
+one block.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from itertools import product as _cartesian
 import numpy as np
 
 from .errors import NumericDomainError, ValidationError
-from .model import TreeEnsemble, as_feature_vector
+from .model import TreeEnsemble, _as_index, as_feature_vector
 from .perturb import Discrete, PerturbationSpec
 
 
@@ -64,7 +72,7 @@ class LeafPairTable:
 def _check_query(ensemble, x, features, spec):
     """The query as a vector, its sorted perturbed features and their noise."""
     vec = as_feature_vector(x, ensemble.num_features)
-    feats = sorted(set(int(q) for q in features))
+    feats = sorted(set(_as_index(q, "perturbed feature") for q in features))
     for q in feats:
         if not 0 <= q < ensemble.num_features:
             raise ValidationError(
@@ -73,15 +81,16 @@ def _check_query(ensemble, x, features, spec):
     return vec, feats, [spec.distribution_for(q) for q in feats]
 
 
-def _alive(boxes, vec, feats):
-    """The alive leaves, and their boxes on S relative to x as (|S|, A) arrays."""
+def _alive(boxes, vec, feats, dists):
+    """The alive leaves, their boxes on S relative to x, and ``cdf_below`` of
+    the box ends (F_lo, F_hi), all four as (|S|, A) arrays."""
     fixed = np.ones(vec.size, dtype=bool)
     fixed[feats] = False
     holds = (boxes.lo[:, fixed] <= vec[fixed]) & (vec[fixed] < boxes.hi[:, fixed])
     alive = np.flatnonzero(holds.all(axis=1))
-    lo = (boxes.lo[alive][:, feats] - vec[feats]).T
-    hi = (boxes.hi[alive][:, feats] - vec[feats]).T
-    return alive, lo, hi
+    ends = (np.stack((boxes.lo[alive], boxes.hi[alive]))[..., feats] - vec[feats]).transpose(2, 0, 1)
+    F = np.array([dist.cdf_below(e) for dist, e in zip(dists, ends)]).reshape(ends.shape)
+    return alive, ends[:, 0], ends[:, 1], F[:, 0], F[:, 1]
 
 
 def _mass(dists, lo, hi):
@@ -92,9 +101,13 @@ def _mass(dists, lo, hi):
     return p
 
 
-def _joint(dists, lo_a, hi_a, lo_b, hi_b):
-    """Pair probabilities between two sets of alive leaves, shape (A_a, A_b)."""
-    return _mass(dists, map(np.maximum.outer, lo_a, lo_b), map(np.minimum.outer, hi_a, hi_b))
+def _joint(F_lo_a, F_hi_a, F_lo_b, F_hi_b):
+    """Pair probabilities between two sets of alive leaves, shape (A_a, A_b),
+    from the leaves' ``cdf_below`` values; features multiply in order."""
+    p = 1.0
+    for la, ha, lb, hb in zip(F_lo_a, F_hi_a, F_lo_b, F_hi_b):
+        p = p * np.maximum(np.minimum.outer(ha, hb) - np.maximum.outer(la, lb), 0.0)
+    return p
 
 
 def leaf_pair_probabilities(
@@ -106,9 +119,9 @@ def leaf_pair_probabilities(
     """Compute Pr[leaf active] and Pr[both leaves active] for all leaf pairs."""
     vec, feats, dists = _check_query(ensemble, x, features, spec)
     boxes = ensemble.leaf_boxes
-    alive, lo, hi = _alive(boxes, vec, feats)
+    alive, _, _, F_lo, F_hi = _alive(boxes, vec, feats, dists)
     P = np.zeros((boxes.value.size, boxes.value.size))
-    P[np.ix_(alive, alive)] = _joint(dists, lo, hi, lo, hi)
+    P[np.ix_(alive, alive)] = _joint(F_lo, F_hi, F_lo, F_hi)
     keys = list(zip(boxes.tree.tolist(), boxes.node.tolist()))
     return LeafPairTable(
         leaf_prob=dict(zip(keys, np.diag(P).tolist())),
@@ -136,7 +149,7 @@ def pg2_exact(
     if not feats:
         return 0.0
     boxes = ensemble.leaf_boxes
-    alive, lo, hi = _alive(boxes, vec, feats)
+    alive, lo, hi, F_lo, F_hi = _alive(boxes, vec, feats, dists)
     reached = np.array([tree.predict_one(vec) for tree in ensemble.trees])
     y = boxes.value[alive] - reached[boxes.tree[alive]]
     diagonal = float(y * y @ _mass(dists, lo, hi))
@@ -144,11 +157,11 @@ def pg2_exact(
     # Alive leaves run tree by tree, and every tree has one (the leaf x
     # reaches): cut them into one block per tree.
     bounds = [0, *(np.flatnonzero(np.diff(boxes.tree[alive])) + 1).tolist(), y.size]
-    blocks = [(y[a:b], lo[:, a:b], hi[:, a:b]) for a, b in zip(bounds, bounds[1:])]
+    blocks = [(y[a:b], F_lo[:, a:b], F_hi[:, a:b]) for a, b in zip(bounds, bounds[1:])]
     cross = magnitude = 0.0
     for i, (yi, loi, hii) in enumerate(blocks):
         for yj, loj, hij in blocks[i + 1:]:
-            P = _joint(dists, loi, hii, loj, hij)
+            P = _joint(loi, hii, loj, hij)
             cross += float(yi @ P @ yj)
             magnitude += float(np.abs(yi) @ P @ np.abs(yj))
 

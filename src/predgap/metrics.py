@@ -9,7 +9,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericDomainError, ValidationError
 from .exact import pg2_exact
-from .model import TreeEnsemble
+from .model import TreeEnsemble, _as_index
 from .perturb import PerturbationSpec
 from .ranking import Ranking
 
@@ -86,7 +86,7 @@ def _xi_random(ensemble, x, keep, dataset, samples, rng) -> float:
         raise ValidationError(
             f"dataset has {dataset.num_features} features, model expects {d}"
         )
-    keep_set = set(int(q) for q in keep)
+    keep_set = set(_as_index(q, "kept feature") for q in keep)
     for q in keep_set:
         if not 0 <= q < d:
             raise ValidationError(f"kept feature {q} outside 0..{d - 1}")

@@ -233,6 +233,13 @@ class TreeEnsemble:
         return out
 
 
+def _as_index(value, what: str) -> int:
+    """A feature index as an int; bools and non-integral numbers raise."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def as_feature_vector(x, num_features: int) -> np.ndarray:
     """Coerce ``x`` to a finite float64 vector of the expected length."""
     vec = np.asarray(x, dtype=np.float64)

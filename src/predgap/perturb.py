@@ -33,6 +33,11 @@ class Distribution:
         raise NotImplementedError
 
     def cdf_below(self, v: float | np.ndarray) -> float | np.ndarray:
+        """Pr[delta < v], in [0, 1] and non-decreasing in v, at v = +-inf too.
+
+        The exact engine relies on monotonicity: it takes min/max of this
+        function's values in place of evaluating it at min/max of the ends.
+        """
         return self.cdf(v)
 
     def interval_prob(

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError, read_json, read_text
 from .exact import pg2_exact
-from .model import TreeEnsemble
+from .model import TreeEnsemble, _as_index, as_feature_vector
 from .perturb import PerturbationSpec
 
 
@@ -20,7 +20,7 @@ class Ranking:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(int(i) for i in self.order))
+        object.__setattr__(self, "order", tuple(_as_index(i, "ranking entry") for i in self.order))
         if sorted(self.order) != list(range(len(self.order))):
             raise ValidationError(
                 f"ranking must be a permutation of 0..{len(self.order) - 1}, got {self.order}"
@@ -48,19 +48,20 @@ def greedy_pg2_ranking(
     At step l the already chosen prefix S is extended by the candidate i
     maximizing PG2(x, S + {i}); ties go to the lowest feature index.
     """
-    d = ensemble.num_features
+    vec = as_feature_vector(x, ensemble.num_features)
     chosen: list[int] = []
-    remaining = list(range(d))
-    while remaining:
+    remaining = list(range(ensemble.num_features))
+    # A lone candidate needs no score: it is last whatever its PG2.
+    while len(remaining) > 1:
         best_i = remaining[0]
         best_p = -1.0
         for i in remaining:
-            p = pg2_exact(ensemble, x, chosen + [i], spec)
+            p = pg2_exact(ensemble, vec, chosen + [i], spec)
             if p > best_p:
                 best_i, best_p = i, p
         chosen.append(best_i)
         remaining.remove(best_i)
-    return Ranking(order=tuple(chosen))
+    return Ranking(order=tuple(chosen + remaining))
 
 
 def ranking_from_attribution(phi) -> Ranking:

@@ -124,3 +124,67 @@ def halton_point(index: int, dim: int) -> tuple[float, ...]:
     """The ``index``-th Halton point (1-based, unscrambled), one coordinate
     at a time: the scalar oracle for ``pg.halton_matrix``."""
     return tuple(radical_inverse(index, _PRIMES[j]) for j in range(dim))
+
+
+def _interval_product(dists, lo, hi):
+    """Elementwise product over k of ``dists[k].interval_prob(lo[k], hi[k])``."""
+    p = 1.0
+    for dist, a, b in zip(dists, lo, hi):
+        p = p * dist.interval_prob(a, b)
+    return p
+
+
+def pair_block_oracle(dists, lo_a, hi_a, lo_b, hi_b):
+    """The per-pair formula for two sets of alive leaves, shape (A_a, A_b):
+    over the perturbed features in order, the product of ``interval_prob``
+    on the intersected boxes [max(lo_u, lo_v), min(hi_u, hi_v))."""
+    return _interval_product(
+        dists, map(np.maximum.outer, lo_a, lo_b), map(np.minimum.outer, hi_a, hi_b)
+    )
+
+
+def _alive_boxes(ensemble, x, features, spec):
+    """Query, alive leaf indices, their boxes on S relative to x as (|S|, A)
+    arrays, and the noise of each perturbed feature."""
+    vec = np.asarray(x, dtype=np.float64)
+    feats = sorted(set(features))
+    fixed = [q for q in range(ensemble.num_features) if q not in feats]
+    boxes = ensemble.leaf_boxes
+    holds = (boxes.lo[:, fixed] <= vec[fixed]) & (vec[fixed] < boxes.hi[:, fixed])
+    alive = np.flatnonzero(holds.all(axis=1))
+    lo = (boxes.lo[alive][:, feats] - vec[feats]).T
+    hi = (boxes.hi[alive][:, feats] - vec[feats]).T
+    return vec, alive, lo, hi, [spec.distribution_for(q) for q in feats]
+
+
+def pair_table_oracle(ensemble, x, features, spec) -> np.ndarray:
+    """The dense leaf-pair probability matrix from ``pair_block_oracle``,
+    rows and columns in ``leaf_boxes`` order."""
+    _, alive, lo, hi, dists = _alive_boxes(ensemble, x, features, spec)
+    size = ensemble.leaf_boxes.value.size
+    P = np.zeros((size, size))
+    P[np.ix_(alive, alive)] = pair_block_oracle(dists, lo, hi, lo, hi)
+    return P
+
+
+def pg2_pair_oracle(ensemble, x, features, spec) -> float:
+    """PG2 with every tree-pair block from ``pair_block_oracle``, summed in
+    ``pg2_exact``'s order (diagonal, then blocks i < j), so that the two
+    agree bit for bit when the engine's blocks equal the per-pair formula."""
+    if not set(features):
+        return 0.0
+    vec, alive, lo, hi, dists = _alive_boxes(ensemble, x, features, spec)
+    boxes = ensemble.leaf_boxes
+    reached = np.array([tree.predict_one(vec) for tree in ensemble.trees])
+    y = boxes.value[alive] - reached[boxes.tree[alive]]
+    result = float(y * y @ _interval_product(dists, lo, hi))
+    cross = 0.0
+    num_trees = len(ensemble.trees)
+    cut = np.searchsorted(boxes.tree[alive], np.arange(num_trees + 1)).tolist()
+    for i in range(num_trees):
+        for j in range(i + 1, num_trees):
+            a, b = slice(cut[i], cut[i + 1]), slice(cut[j], cut[j + 1])
+            P = pair_block_oracle(dists, lo[:, a], hi[:, a], lo[:, b], hi[:, b])
+            cross += float(y[a] @ P @ y[b])
+    result += 2.0 * cross
+    return result if result >= 0.0 else 0.0

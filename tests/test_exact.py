@@ -17,6 +17,9 @@ from support import (
     depth1_tree,
     lattice_point,
     leaf,
+    pair_table_oracle,
+    perfect_tree,
+    pg2_pair_oracle,
     random_discrete,
     random_ensemble,
     split,
@@ -176,6 +179,13 @@ def test_query_validation():
     sparse = pg.PerturbationSpec(per_feature=(None,))
     with pytest.raises(ValidationError):
         pg.pg2_exact(ens, [-1.0], [0], sparse)         # no distribution
+    # A feature index must be an integer: 0.9 and True are not truncated
+    # to features 0 and 1.
+    wide = pg.TreeEnsemble(trees=ens.trees, num_features=2)
+    for bad in ([0.9], [True], [np.bool_(False)], [1.0], ["0"]):
+        with pytest.raises(ValidationError, match="integer"):
+            pg.pg2_exact(wide, [-1.0, 0.0], bad, pg.PerturbationSpec.gaussian(1.0, 2))
+    assert pg.pg2_exact(ens, [-1.0], [np.int64(0)], spec) == pg.pg2_exact(ens, [-1.0], [0], spec)
 
 
 def test_threshold_tie_queries_match_oracle():
@@ -213,3 +223,65 @@ def test_gaussian_and_uniform_goldens():
         if not abs(got - want) <= tol:
             failures.append(f"case {n}: {got!r} vs golden {want!r}")
     assert not failures, failures
+
+
+def _noise(rng):
+    """Gaussian, uniform or discrete noise; uniform ends and half the
+    discrete atoms are integers, so they meet lattice box ends."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return pg.Gaussian(float(rng.choice([0.3, 1.0, 2.5])))
+    if kind == 1:
+        return pg.Uniform(float(rng.choice([0.5, 1.0, 2.0])))
+    return random_discrete(rng)
+
+
+def test_engine_equals_the_per_pair_formula_bit_for_bit():
+    # pg2_exact and leaf_pair_probabilities build each pair block from min/max
+    # of per-leaf cdf_below values; the per-pair formula evaluates
+    # interval_prob on the intersected boxes.  Both must agree with ==.
+    rng = np.random.default_rng(4242)
+    met = {"atom": False, "support end": False, "inf": False}
+    for n in range(120):
+        d = int(rng.integers(1, 6))
+        if n % 4 == 0:
+            depth, num_trees = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            trees = tuple(perfect_tree(rng, d, depth) for _ in range(num_trees))
+            ens = pg.TreeEnsemble(trees=trees, num_features=d)
+        else:
+            ens = random_ensemble(rng, d, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
+        spec = pg.PerturbationSpec(per_feature=tuple(_noise(rng) for _ in range(d)))
+        x = lattice_point(rng, d)
+        S = sorted(int(q) for q in rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        assert pg.pg2_exact(ens, x, S, spec) == pg2_pair_oracle(ens, x, S, spec), n
+        table = pg.leaf_pair_probabilities(ens, x, S, spec)
+        P = pair_table_oracle(ens, x, S, spec)
+        assert list(table.pair_prob.values()) == P.ravel().tolist(), n
+        assert list(table.leaf_prob.values()) == np.diag(P).tolist(), n
+        boxes = ens.leaf_boxes
+        for q in S:
+            ends = np.concatenate((boxes.lo[:, q], boxes.hi[:, q])) - x[q]
+            dist = spec.per_feature[q]
+            met["inf"] |= bool(np.isinf(ends).any())
+            if isinstance(dist, pg.Uniform):
+                met["support end"] |= bool(np.isin(ends, [-dist.half_width, dist.half_width]).any())
+            if isinstance(dist, pg.Discrete):
+                met["atom"] |= bool(np.isin(ends, [o for o, _ in dist.points]).any())
+    assert all(met.values()), met
+
+
+def test_pg2_exact_reaches_interval_prob(monkeypatch):
+    # perfbench's --trace 1 run counts Distribution.interval_prob calls made
+    # inside pg2_exact and fails its trace-coverage check when there are none.
+    calls = []
+    real = pg.Distribution.interval_prob
+
+    def counting(self, lo, hi):
+        calls.append(1)
+        return real(self, lo, hi)
+
+    monkeypatch.setattr(pg.Distribution, "interval_prob", counting)
+    rng = np.random.default_rng(5)
+    ens = random_ensemble(rng, num_features=3, num_trees=3, max_depth=3)
+    pg.pg2_exact(ens, lattice_point(rng, 3), [1], pg.PerturbationSpec.gaussian(1.0, 3))
+    assert calls

@@ -98,6 +98,10 @@ def test_xi_random_keep_all_is_exact_prediction():
     data = _dataset(np.random.default_rng(0).normal(size=(8, 2)))
     x = [-1.0, 0.3]
     assert pg.xi_random(ens, x, [0, 1], data, samples=3, seed=0) == ens.predict(x)
+    # a kept feature must be an integer: 0.9 is not truncated to feature 0
+    for bad in ([0.9, 1], [True, 0]):
+        with pytest.raises(ValidationError, match="integer"):
+            pg.xi_random(ens, x, bad, data, samples=3, seed=0)
 
 
 def test_xi_random_constant_model():

@@ -151,10 +151,16 @@ def test_continuous_round_trip(dist):
     [pg.Gaussian(1.0), pg.Uniform(1.5), pg.Discrete(points=((-1.0, 0.3), (0.5, 0.7)))],
 )
 def test_cdf_monotone_on_dense_grid(dist):
-    grid = np.linspace(-6.0, 6.0, 10_000)
-    values = np.array([dist.cdf(v) for v in grid])
-    assert (np.diff(values) >= 0).all()
-    assert values.min() >= 0.0 and values.max() <= 1.0
+    # The grid also holds +-inf, the discrete atoms and the uniform support
+    # ends, each twice (ties): the exact engine's min/max identity needs
+    # cdf_below to be non-decreasing on every such array.
+    special = [-np.inf, np.inf, -1.5, 1.5, -1.0, 0.5]
+    grid = np.sort(np.concatenate((np.linspace(-6.0, 6.0, 10_000), special, special)))
+    for fn in (dist.cdf, dist.cdf_below):
+        values = fn(grid)
+        assert (np.diff(values) >= 0).all()
+        assert values.min() >= 0.0 and values.max() <= 1.0
+        assert values[0] == 0.0 and values[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------

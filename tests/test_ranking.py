@@ -25,6 +25,11 @@ def test_ranking_validation():
     r = pg.Ranking(order=(2, 0, 1))
     assert r.prefix(2) == (2, 0)
     assert r.reversed().order == (1, 0, 2)
+    # entries must be integers, not truncated to one: (0.5, 1.2) is not (0, 1)
+    for bad in ((0.5, 1.2), (True, 0), (0.0, 1.0)):
+        with pytest.raises(ValidationError, match="integer"):
+            pg.Ranking(order=bad)
+    assert pg.Ranking(order=(np.int64(1), np.int64(0))).order == (1, 0)
 
 
 def test_greedy_puts_the_only_used_feature_first():
@@ -48,6 +53,10 @@ def test_greedy_single_feature_model():
     ens = _single_feature_model(0, 1)
     spec = pg.PerturbationSpec.gaussian(1.0, 1)
     assert pg.greedy_pg2_ranking(ens, [0.5], spec).order == (0,)
+    # no candidate is scored here, so x is checked up front
+    for bad in ([0.5, 1.0], [], [float("nan")]):
+        with pytest.raises(ValidationError):
+            pg.greedy_pg2_ranking(ens, bad, spec)
 
 
 def test_greedy_inert_features_trail_when_used_features_help():
@@ -89,7 +98,9 @@ def test_greedy_uses_exactly_the_triangular_call_count(monkeypatch):
     d = 4
     ens = random_ensemble(rng, num_features=d, num_trees=2, max_depth=3)
     pg.greedy_pg2_ranking(ens, rng.normal(size=d), pg.PerturbationSpec.gaussian(0.5, d))
-    assert len(calls) == d * (d + 1) // 2
+    # d + (d - 1) + ... + 2: the last lone candidate is not scored
+    assert len(calls) == d * (d + 1) // 2 - 1
+    assert all(len(S) < d for S in calls)
 
 
 def test_greedy_invariant_under_positive_leaf_scaling():
