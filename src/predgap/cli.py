@@ -220,63 +220,19 @@ def _init_bench_worker(payload: dict) -> None:
     _BENCH = payload
 
 
-def _pair_query(pair_idx: int):
+def _bench_task(task) -> float:
+    """One pair's exact PG2 (``method`` None) or one seeded sampler estimate."""
+    sigma_idx, pair_idx, method, iterations, rep = task
     ctx = _BENCH
     pair = ctx["pairs"][pair_idx]
     x = ctx["dataset"].instance(pair.instance_index)
-    return x, pair.feature_set
-
-
-def _bench_exact_task(task) -> float:
-    sigma_idx, pair_idx = task
-    x, feats = _pair_query(pair_idx)
-    return pg2_exact(_BENCH["ensemble"], x, feats, _BENCH["specs"][sigma_idx])
-
-
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
-
-
-def _bench_sample_task(task) -> float:
-    sigma_idx, iterations, method, rep, pair_idx = task
-    ctx = _BENCH
-    x, feats = _pair_query(pair_idx)
-    if not feats:
-        return 0.0
-    seed = _derived_seed(ctx["seed"], sigma_idx, iterations, rep, pair_idx)
+    spec = ctx["specs"][sigma_idx]
+    if method is None:
+        return pg2_exact(ctx["ensemble"], x, pair.feature_set, spec)
+    entropy = [ctx["seed"], sigma_idx, iterations, rep, pair_idx]
+    seed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
     config = EstimatorConfig(method=method, iterations=iterations, seed=seed)
-    return pg2_sampled(ctx["ensemble"], x, feats, ctx["specs"][sigma_idx], config)
-
-
-class _PairPool:
-    """Maps benchmark tasks over pairs, inline or across processes."""
-
-    def __init__(self, payload: dict, workers: int):
-        self._executor = None
-        self._workers = max(1, workers)
-        if workers > 1:
-            try:
-                mp_context = get_context("fork")
-            except ValueError:
-                mp_context = get_context("spawn")
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=mp_context,
-                initializer=_init_bench_worker,
-                initargs=(payload,),
-            )
-        else:
-            _init_bench_worker(payload)
-
-    def map(self, fn, tasks: list) -> list:
-        if self._executor is None:
-            return [fn(t) for t in tasks]
-        chunk = max(1, len(tasks) // (4 * self._workers))
-        return list(self._executor.map(fn, tasks, chunksize=chunk))
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
+    return pg2_sampled(ctx["ensemble"], x, pair.feature_set, spec, config)
 
 
 def run_benchmark(
@@ -293,6 +249,7 @@ def run_benchmark(
     timing: bool = False,
 ) -> dict:
     """NMAE of each sampler against the exact algorithm over random pairs."""
+    global _BENCH
     if not iteration_grid:
         raise ValidationError("iteration grid must be non-empty")
     if repetitions < 1:
@@ -303,22 +260,37 @@ def run_benchmark(
         )
     pair_list = sample_pairs(dataset, ensemble.num_features, pairs, seed=seed, sizes=sizes)
     specs = [PerturbationSpec.gaussian(s, ensemble.num_features) for s in sigmas]
-    payload = {
-        "ensemble": ensemble,
-        "dataset": dataset,
-        "pairs": pair_list,
-        "specs": specs,
-        "seed": seed,
-    }
+    payload = dict(ensemble=ensemble, dataset=dataset, pairs=pair_list, specs=specs, seed=seed)
     # A fork pool starts all its workers at once; more than one per pair idles.
-    pool = _PairPool(payload, min(workers, pairs))
+    workers = min(workers, pairs)
+    executor = None
+    if workers > 1:
+        try:
+            mp_context = get_context("fork")
+        except ValueError:
+            mp_context = get_context("spawn")
+        executor = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=mp_context,
+            initializer=_init_bench_worker,
+            initargs=(payload,),
+        )
+    else:
+        _init_bench_worker(payload)
+
+    def map_pairs(sigma_idx, method=None, iterations=0, rep=0) -> np.ndarray:
+        """One value per pair, in pair order."""
+        tasks = [(sigma_idx, p, method, iterations, rep) for p in range(pairs)]
+        if executor is None:
+            return np.asarray([_bench_task(t) for t in tasks])
+        chunk = max(1, pairs // (4 * workers))
+        return np.asarray(list(executor.map(_bench_task, tasks, chunksize=chunk)))
+
     try:
         entries = []
         for sigma_idx, sigma in enumerate(sigmas):
             started = time.perf_counter()
-            truth = np.asarray(
-                pool.map(_bench_exact_task, [(sigma_idx, p) for p in range(pairs)])
-            )
+            truth = map_pairs(sigma_idx)
             exact_elapsed = time.perf_counter() - started
             if float(np.sum(np.abs(truth))) == 0.0:
                 print(
@@ -331,18 +303,10 @@ def run_benchmark(
                 for method in methods:
                     reps = repetitions if method == "mc" else 1
                     started = time.perf_counter()
-                    scores = []
-                    for rep in range(reps):
-                        estimates = np.asarray(
-                            pool.map(
-                                _bench_sample_task,
-                                [
-                                    (sigma_idx, iterations, method, rep, p)
-                                    for p in range(pairs)
-                                ],
-                            )
-                        )
-                        scores.append(nmae(truth, estimates))
+                    scores = [
+                        nmae(truth, map_pairs(sigma_idx, method, iterations, rep))
+                        for rep in range(reps)
+                    ]
                     sampler_elapsed = time.perf_counter() - started
                     entry = {
                         "method": method,
@@ -356,7 +320,9 @@ def run_benchmark(
                         entry["wall_time_sampler"] = sampler_elapsed
                     entries.append(entry)
     finally:
-        pool.close()
+        if executor is not None:
+            executor.shutdown()
+        _BENCH = None
     return {
         "pairs": pairs,
         "seed": seed,

@@ -34,6 +34,8 @@ def mean_pgi2(
     spec: PerturbationSpec,
 ) -> float:
     """Arithmetic mean of PGI2 over the dataset with per-instance rankings."""
+    if dataset.num_instances < 1:
+        raise ValidationError("dataset has no instances")
     if len(rankings) != dataset.num_instances:
         raise ValidationError(
             f"{len(rankings)} rankings for {dataset.num_instances} instances"
@@ -113,6 +115,8 @@ def randomization_rmse(
     The deviation is measured against the model's own prediction on the
     untouched instance, or against ``labels`` when given.
     """
+    if dataset.num_instances < 1:
+        raise ValidationError("dataset has no instances")
     if len(rankings) != dataset.num_instances:
         raise ValidationError(
             f"{len(rankings)} rankings for {dataset.num_instances} instances"

@@ -32,6 +32,7 @@ class Ranking:
 
     def prefix(self, k: int) -> tuple[int, ...]:
         """The k most important features."""
+        k = _as_index(k, "prefix length")
         if not 0 <= k <= len(self.order):
             raise ValidationError(f"prefix length {k} outside 0..{len(self.order)}")
         return self.order[:k]

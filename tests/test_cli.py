@@ -226,6 +226,51 @@ def test_benchmark_pool_has_at_most_one_worker_per_pair(workdir, monkeypatch):
     assert sizes == [2, 2]
 
 
+def test_benchmark_repetitions_average_mc_only(workdir):
+    args = ["benchmark", *_model_arg(workdir), "--sigmas", "0.3", "--iteration-grid", "50",
+            "--pairs", "4", "--seed", "2"]
+
+    def run(repetitions, workers):
+        out = workdir / f"r{repetitions}w{workers}.json"
+        assert main([*args, "--repetitions", str(repetitions), "--workers", str(workers),
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    once = json.loads(run(1, 1))["entries"]
+    thrice = json.loads(run(3, 1))["entries"]
+    nmae_of = {e["method"]: e["nmae"] for e in once}
+    averaged = {e["method"]: e["nmae"] for e in thrice}
+    # MC averages three independently seeded runs; QMC is deterministic and runs once
+    assert averaged["mc"] != nmae_of["mc"]
+    assert averaged["qmc"] == nmae_of["qmc"]
+    assert run(3, 3) == run(3, 1)
+
+
+def test_benchmark_inline_calls_the_module_globals(monkeypatch):
+    """perfbench traces `pg2 benchmark --workers 1` by rebinding these three cli
+    globals and expects their spans under cli.run_benchmark in the same process;
+    the inline path must also leave no payload behind, even when a task raises."""
+    import predgap.cli as cli_mod
+
+    calls = {}
+    for name in ("pg2_exact", "pg2_sampled", "nmae"):
+        def counted(*a, _real=getattr(cli_mod, name), _name=name, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(cli_mod, name, counted)
+    ens = canonical_ensemble(num_features=2)
+    data = pg.Dataset(values=[[-1.0, 0.5], [0.5, -0.3]], feature_names=("a", "b"))
+    run = dict(sigmas=[0.3], iteration_grid=[10], pairs=3, seed=1, workers=1)
+    report = cli_mod.run_benchmark(ens, data, **run)
+    assert [e["method"] for e in report["entries"]] == ["mc", "qmc"]
+    assert calls == {"pg2_exact": 3, "pg2_sampled": 6, "nmae": 2}
+    assert cli_mod._BENCH is None
+    with pytest.raises(pg.ValidationError):
+        cli_mod.run_benchmark(ens, data, methods=("zz",), **run)
+    assert cli_mod._BENCH is None
+
+
 def test_eval_pgi2_matches_library(workdir, capsys):
     rc = main(
         ["eval", *_model_arg(workdir), "--method", "greedy-pg2", "--sigma-rank", "1.0",
@@ -374,6 +419,10 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
          ["convert-model", "--input", "{path}", "--output", _NO_DIR]),
         ("data.csv", "a,b,y\n-1.0,0.5,nan\n0.5,-0.3,1.0\n", _LABELS),
         ("data.csv", "a,b,y\n-1.0,0.5,1.0\n0.5,-0.3,inf\n", _LABELS),
+        ("data.csv", "a,b\n", ["eval", "--method", "greedy-pg2", "--sigma-rank", "0.5",
+                               "--metric", "pgi2", "--sigma-metric", "1.0"]),
+        ("data.csv", "a,b\n", ["eval", "--method", "greedy-pg2", "--sigma-rank", "0.5",
+                               "--metric", "randomize-rmse", "--k", "1"]),
     ],
     ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
          "one-element-point", "huge-leaf-value", "over-long-integer", "huge-xgboost-leaf",
@@ -383,7 +432,7 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
          "deep-dist-config", "over-long-integer-attributions", "deep-attributions",
          "over-long-csv-field", "unwritable-rank-out", "unwritable-benchmark-out",
          "unwritable-benchmark-csv-out", "unwritable-convert-output", "nan-label",
-         "inf-label"],
+         "inf-label", "header-only-pgi2", "header-only-randomize-rmse"],
 )
 def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
     path = workdir / name

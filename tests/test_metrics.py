@@ -74,6 +74,17 @@ def test_mean_pgi2_alignment_error():
         pg.mean_pgi2(ens, _dataset([[0.0, 0.0]]), [], spec)
 
 
+def test_metrics_reject_a_dataset_without_instances():
+    # the per-instance mean over zero rows used to divide by zero
+    ens = canonical_ensemble(num_features=2)
+    empty = _dataset(np.empty((0, 2)))
+    spec = pg.PerturbationSpec.gaussian(1.0, 2)
+    with pytest.raises(ValidationError, match="no instances"):
+        pg.mean_pgi2(ens, empty, [], spec)
+    with pytest.raises(ValidationError, match="no instances"):
+        pg.randomization_rmse(ens, empty, [], k=1)
+
+
 def test_nmae_examples():
     assert pg.nmae([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert pg.nmae([1.0, 2.0], [2.0, 2.0]) == pytest.approx(1 / 3)

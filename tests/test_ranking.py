@@ -24,6 +24,10 @@ def test_ranking_validation():
         pg.Ranking(order=(1, 2))
     r = pg.Ranking(order=(2, 0, 1))
     assert r.prefix(2) == (2, 0)
+    assert r.prefix(np.int64(1)) == (2,)
+    for bad in (True, 1.5):
+        with pytest.raises(ValidationError, match="integer"):
+            r.prefix(bad)
     assert r.reversed().order == (1, 0, 2)
     # entries must be integers, not truncated to one: (0.5, 1.2) is not (0, 1)
     for bad in ((0.5, 1.2), (True, 0), (0.0, 1.0)):
