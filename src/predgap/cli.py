@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -221,18 +222,17 @@ def _init_bench_worker(payload: dict) -> None:
 
 
 def _bench_task(task) -> float:
-    """One pair's exact PG2 (``method`` None) or one seeded sampler estimate."""
-    sigma_idx, pair_idx, method, iterations, rep = task
+    """One pair's exact PG2 (``config`` None) or one seeded sampler estimate."""
+    sigma_idx, pair_idx, config, rep = task
     ctx = _BENCH
     pair = ctx["pairs"][pair_idx]
     x = ctx["dataset"].instance(pair.instance_index)
     spec = ctx["specs"][sigma_idx]
-    if method is None:
+    if config is None:
         return pg2_exact(ctx["ensemble"], x, pair.feature_set, spec)
-    entropy = [ctx["seed"], sigma_idx, iterations, rep, pair_idx]
+    entropy = [ctx["seed"], sigma_idx, config.iterations, rep, pair_idx]
     seed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-    config = EstimatorConfig(method=method, iterations=iterations, seed=seed)
-    return pg2_sampled(ctx["ensemble"], x, pair.feature_set, spec, config)
+    return pg2_sampled(ctx["ensemble"], x, pair.feature_set, spec, replace(config, seed=seed))
 
 
 def run_benchmark(
@@ -252,6 +252,8 @@ def run_benchmark(
     global _BENCH
     if not iteration_grid:
         raise ValidationError("iteration grid must be non-empty")
+    # Built before any exact value, so a bad method or count fails at once.
+    configs = [EstimatorConfig(method=m, iterations=n) for n in iteration_grid for m in methods]
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     if dataset.num_features != ensemble.num_features:
@@ -278,9 +280,9 @@ def run_benchmark(
     else:
         _init_bench_worker(payload)
 
-    def map_pairs(sigma_idx, method=None, iterations=0, rep=0) -> np.ndarray:
+    def map_pairs(sigma_idx, config=None, rep=0) -> np.ndarray:
         """One value per pair, in pair order."""
-        tasks = [(sigma_idx, p, method, iterations, rep) for p in range(pairs)]
+        tasks = [(sigma_idx, p, config, rep) for p in range(pairs)]
         if executor is None:
             return np.asarray([_bench_task(t) for t in tasks])
         chunk = max(1, pairs // (4 * workers))
@@ -299,26 +301,22 @@ def run_benchmark(
                     file=sys.stderr,
                 )
                 continue
-            for iterations in iteration_grid:
-                for method in methods:
-                    reps = repetitions if method == "mc" else 1
-                    started = time.perf_counter()
-                    scores = [
-                        nmae(truth, map_pairs(sigma_idx, method, iterations, rep))
-                        for rep in range(reps)
-                    ]
-                    sampler_elapsed = time.perf_counter() - started
-                    entry = {
-                        "method": method,
-                        "iterations": iterations,
-                        "sigma": sigma,
-                        "nmae": float(np.mean(scores)),
-                        "pairs": pairs,
-                    }
-                    if timing:
-                        entry["wall_time_exact"] = exact_elapsed
-                        entry["wall_time_sampler"] = sampler_elapsed
-                    entries.append(entry)
+            for config in configs:
+                reps = repetitions if config.method == "mc" else 1
+                started = time.perf_counter()
+                scores = [nmae(truth, map_pairs(sigma_idx, config, rep)) for rep in range(reps)]
+                sampler_elapsed = time.perf_counter() - started
+                entry = {
+                    "method": config.method,
+                    "iterations": config.iterations,
+                    "sigma": sigma,
+                    "nmae": float(np.mean(scores)),
+                    "pairs": pairs,
+                }
+                if timing:
+                    entry["wall_time_exact"] = exact_elapsed
+                    entry["wall_time_sampler"] = sampler_elapsed
+                entries.append(entry)
     finally:
         if executor is not None:
             executor.shutdown()
@@ -352,10 +350,6 @@ def cmd_benchmark(args) -> int:
     sigmas = _parse_float_list(args.sigmas, "--sigmas")
     grid = _parse_int_list(args.iteration_grid, "--iteration-grid")
     sizes = _parse_int_list(args.sizes, "--sizes") if args.sizes else None
-    methods = tuple(args.methods.split(","))
-    for m in methods:
-        if m not in ("mc", "qmc"):
-            raise ValidationError(f"--methods entries must be mc or qmc, got {m!r}")
     report = run_benchmark(
         ensemble,
         dataset,
@@ -364,7 +358,7 @@ def cmd_benchmark(args) -> int:
         pairs=args.pairs,
         seed=args.seed,
         repetitions=args.repetitions,
-        methods=methods,
+        methods=tuple(args.methods.split(",")),
         sizes=sizes,
         workers=args.workers,
         timing=args.timing,

@@ -82,15 +82,16 @@ def _check_query(ensemble, x, features, spec):
 
 
 def _alive(boxes, vec, feats, dists):
-    """The alive leaves, their boxes on S relative to x, and ``cdf_below`` of
-    the box ends (F_lo, F_hi), all four as (|S|, A) arrays."""
+    """x's (L, d) box-membership matrix, the alive leaves, their boxes on S
+    relative to x, and ``cdf_below`` of the box ends (F_lo, F_hi), the last
+    four as (|S|, A) arrays."""
     fixed = np.ones(vec.size, dtype=bool)
     fixed[feats] = False
-    holds = (boxes.lo[:, fixed] <= vec[fixed]) & (vec[fixed] < boxes.hi[:, fixed])
-    alive = np.flatnonzero(holds.all(axis=1))
+    holds = boxes.holds(vec)
+    alive = np.flatnonzero(holds[:, fixed].all(axis=1))
     ends = (np.stack((boxes.lo[alive], boxes.hi[alive]))[..., feats] - vec[feats]).transpose(2, 0, 1)
     F = np.array([dist.cdf_below(e) for dist, e in zip(dists, ends)]).reshape(ends.shape)
-    return alive, ends[:, 0], ends[:, 1], F[:, 0], F[:, 1]
+    return holds, alive, ends[:, 0], ends[:, 1], F[:, 0], F[:, 1]
 
 
 def _mass(dists, lo, hi):
@@ -119,7 +120,7 @@ def leaf_pair_probabilities(
     """Compute Pr[leaf active] and Pr[both leaves active] for all leaf pairs."""
     vec, feats, dists = _check_query(ensemble, x, features, spec)
     boxes = ensemble.leaf_boxes
-    alive, _, _, F_lo, F_hi = _alive(boxes, vec, feats, dists)
+    _, alive, _, _, F_lo, F_hi = _alive(boxes, vec, feats, dists)
     P = np.zeros((boxes.value.size, boxes.value.size))
     P[np.ix_(alive, alive)] = _joint(F_lo, F_hi, F_lo, F_hi)
     keys = list(zip(boxes.tree.tolist(), boxes.node.tolist()))
@@ -149,8 +150,10 @@ def pg2_exact(
     if not feats:
         return 0.0
     boxes = ensemble.leaf_boxes
-    alive, lo, hi, F_lo, F_hi = _alive(boxes, vec, feats, dists)
-    reached = np.array([tree.predict_one(vec) for tree in ensemble.trees])
+    holds, alive, lo, hi, F_lo, F_hi = _alive(boxes, vec, feats, dists)
+    # The leaf x reaches is the one leaf per tree whose box holds x on every
+    # feature, so these values come in tree order.
+    reached = boxes.value[holds.all(axis=1)]
     y = boxes.value[alive] - reached[boxes.tree[alive]]
     diagonal = float(y * y @ _mass(dists, lo, hi))
 

@@ -9,7 +9,7 @@ the plain sum of per-tree leaf values.
 nested dicts that ``ensemble_from_dict`` reads for each entry of a file's
 ``trees``: a leaf is ``{"value": v}`` and a split is ``{"feature": f,
 "threshold": t, "left": node, "right": node}``.  XGBoost dumps have their
-own node reader; both fill the same five pre-order arrays.
+own node reader; both fill the same four pre-order arrays.
 """
 
 from __future__ import annotations
@@ -29,17 +29,19 @@ _MAX_FEATURE = np.iinfo(np.int64).max  # feature indices are stored as int64
 
 
 class Tree:
-    """A single tree stored as five flat pre-order numpy arrays.
+    """A single tree stored as four flat, read-only pre-order numpy arrays.
 
-    Node 0 is the root.  A split's left child directly follows it and its
-    right child follows the whole left subtree, so every child has a larger
-    index than its parent.  ``feature[i] < 0`` marks a leaf, in which case
-    ``value[i]`` holds the leaf value and the child indices are -1.  Building
-    and serializing walk the nodes with explicit stacks or index order, so
-    depth is not limited by Python's recursion limit.
+    Node 0 is the root.  A split's left child is always the next node, i + 1,
+    and its right child ``right[i]`` follows the whole left subtree, so every
+    child has a larger index than its parent.  ``feature[i] < 0`` marks a
+    leaf, in which case ``value[i]`` holds the leaf value and ``right[i]`` is
+    -1.  Building and serializing walk the nodes with explicit stacks or
+    index order, so depth is not limited by Python's recursion limit.  The
+    arrays are read-only because ``TreeEnsemble.leaf_boxes`` caches what
+    they say.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    __slots__ = ("feature", "threshold", "right", "value")
 
     def __init__(self, root) -> None:
         """Build from a nested node dict in the model file's schema."""
@@ -52,7 +54,7 @@ class Tree:
         returns either its leaf value or the tuple ``(feature, threshold,
         left, left_where, right, right_where)``.
         """
-        rows = []  # [feature, threshold, left, right, value] per node
+        rows = []  # [feature, threshold, right, value] per node
         # Right children wait on the stack with the index of their parent;
         # a left child is always its parent's next node.  Each entry also
         # carries its depth, which cuts ``path`` back to the splits above it.
@@ -66,25 +68,27 @@ class Tree:
                 raise ValidationError(f"{where}: node is its own ancestor (a cyclic tree)")
             i = len(rows)
             if parent >= 0:
-                rows[parent][3] = i
+                rows[parent][2] = i
             node = read_node(obj, where)
             if not isinstance(node, tuple):
                 if not math.isfinite(node):
                     raise ValidationError(f"{where}: leaf value must be finite")
-                rows.append([-1, 0.0, -1, -1, float(node)])
+                rows.append([-1, 0.0, -1, float(node)])
                 continue
             feature, threshold, left, left_where, right, right_where = node
             if not 0 <= feature <= _MAX_FEATURE:
                 raise ValidationError(f"{where}: feature index {feature} out of range")
             if not math.isfinite(threshold):
                 raise ValidationError(f"{where}: split threshold must be finite")
-            rows.append([feature, float(threshold), i + 1, -1, 0.0])
+            rows.append([feature, float(threshold), -1, 0.0])
             path[id(obj)] = None
             stack.append((right, right_where, i, depth + 1))
             stack.append((left, left_where, -1, depth + 1))
-        feature, threshold, left, right, value = zip(*rows)
-        self.feature, self.left, self.right = (np.array(a, dtype=np.int64) for a in (feature, left, right))
+        feature, threshold, right, value = zip(*rows)
+        self.feature, self.right = (np.array(a, dtype=np.int64) for a in (feature, right))
         self.threshold, self.value = (np.array(a, dtype=np.float64) for a in (threshold, value))
+        for name in self.__slots__:
+            getattr(self, name).setflags(write=False)
 
     @property
     def node_count(self) -> int:
@@ -98,32 +102,29 @@ class Tree:
     def max_depth(self) -> int:
         """Longest root-to-leaf path, counted in edges."""
         depth = [0] * self.node_count
-        left, right = self.left.tolist(), self.right.tolist()
+        right = self.right.tolist()
         for i in np.flatnonzero(self.feature >= 0).tolist():
-            depth[left[i]] = depth[right[i]] = depth[i] + 1
+            depth[i + 1] = depth[right[i]] = depth[i] + 1
         return max(depth)
 
-    def predict_one(self, x) -> float:
-        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
-        i = 0
-        f = feature[0]
-        while f >= 0:
-            i = left[i] if x[f] < threshold[i] else right[i]
-            f = feature[i]
-        return self.value[i]
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        feat, thr, left, right = self.feature, self.threshold, self.left, self.right
+        feat, thr, right = self.feature, self.threshold, self.right
         idx = np.zeros(X.shape[0], dtype=np.int64)
         rows = np.arange(X.shape[0])
         pending = feat[idx] >= 0
         while pending.any():
             f = feat[idx]
             go_left = X[rows, np.maximum(f, 0)] < thr[idx]
-            nxt = np.where(go_left, left[idx], right[idx])
+            nxt = np.where(go_left, idx + 1, right[idx])
             idx = np.where(pending, nxt, idx)
             pending = feat[idx] >= 0
         return self.value[idx]
+
+    def __setstate__(self, state) -> None:
+        """Unpickled and copied numpy arrays come back writable; lock them again."""
+        for name, array in state[1].items():
+            array.setflags(write=False)
+            setattr(self, name, array)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tree):
@@ -148,8 +149,9 @@ class LeafBoxes:
     """Every leaf of an ensemble as the half-open box its root path allows.
 
     Row u describes one leaf: an input reaches it exactly when
-    ``lo[u] <= x < hi[u]`` holds on every feature.  Rows run tree by tree,
-    and in node order within a tree.
+    ``lo[u] <= x < hi[u]`` holds on every feature, so exactly one leaf per
+    tree holds any finite x.  Rows run tree by tree, and in node order
+    within a tree.
     """
 
     lo: np.ndarray  # (L, d); -inf where no split bounds the feature
@@ -157,6 +159,10 @@ class LeafBoxes:
     value: np.ndarray  # (L,) leaf values
     tree: np.ndarray  # (L,) tree index
     node: np.ndarray  # (L,) node index within the tree
+
+    def holds(self, vec: np.ndarray) -> np.ndarray:
+        """(L, d) booleans: whether leaf u's box holds ``vec`` on feature q."""
+        return (self.lo <= vec) & (vec < self.hi)
 
 
 @dataclass(frozen=True)
@@ -202,11 +208,11 @@ class TreeEnsemble:
             # Nodes are stored in pre-order, so a parent's box is final
             # before either child reads it.  Python scalars index faster
             # than numpy ones.
-            feature, threshold, left, right = (
-                a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right)
+            feature, threshold, right = (
+                a.tolist() for a in (tree.feature, tree.threshold, tree.right)
             )
             for i in np.flatnonzero(tree.feature >= 0).tolist():
-                q, cut, a, b = feature[i], threshold[i], left[i], right[i]
+                q, cut, a, b = feature[i], threshold[i], i + 1, right[i]
                 lo[a] = lo[b] = lo[i]
                 hi[a] = hi[b] = hi[i]
                 hi[a, q] = min(hi[i, q], cut)
@@ -216,8 +222,10 @@ class TreeEnsemble:
         return LeafBoxes(*(np.concatenate(column) for column in zip(*parts)))
 
     def predict(self, x) -> float:
+        """The sum, in tree order, of the values of the leaves whose box holds x."""
         vec = as_feature_vector(x, self.num_features)
-        return float(sum(t.predict_one(vec) for t in self.trees))
+        boxes = self.leaf_boxes
+        return float(sum(boxes.value[boxes.holds(vec).all(axis=1)].tolist()))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -306,7 +314,7 @@ def ensemble_from_dict(obj) -> TreeEnsemble:
 
 
 def _tree_to_dict(tree: Tree) -> dict:
-    feature, threshold, left, right, value = (
+    feature, threshold, right, value = (
         getattr(tree, name).tolist() for name in Tree.__slots__
     )
     # Children come after their parents, so a reverse pass meets both
@@ -319,7 +327,7 @@ def _tree_to_dict(tree: Tree) -> dict:
             nodes[i] = {
                 "feature": feature[i],
                 "threshold": threshold[i],
-                "left": nodes[left[i]],
+                "left": nodes[i + 1],
                 "right": nodes[right[i]],
             }
     return nodes[0]

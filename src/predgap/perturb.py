@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import erf, ndtri
 
-from .errors import NumericDomainError, ValidationError
+from .errors import ValidationError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -47,16 +47,8 @@ class Distribution:
         p = np.where(hi > lo, self.cdf_below(hi) - self.cdf_below(lo), 0.0)
         return _float_if_scalar(p)
 
-    def inv_cdf(self, u: float) -> float:
-        if not 0.0 < u < 1.0:
-            raise NumericDomainError(f"inverse CDF needs u in (0, 1), got {u}")
-        return float(self.inv_cdf_n(np.asarray([u]))[0])
-
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_n(rng, 1)[0])
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .exact import _check_query
-from .model import TreeEnsemble
+from .model import TreeEnsemble, _as_index
 from .perturb import PerturbationSpec, halton_matrix
 
 _METHODS = ("mc", "qmc")
@@ -31,7 +31,7 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValidationError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.iterations < 1:
+        if _as_index(self.iterations, "iterations") < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
 
 

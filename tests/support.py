@@ -175,7 +175,8 @@ def pg2_pair_oracle(ensemble, x, features, spec) -> float:
         return 0.0
     vec, alive, lo, hi, dists = _alive_boxes(ensemble, x, features, spec)
     boxes = ensemble.leaf_boxes
-    reached = np.array([tree.predict_one(vec) for tree in ensemble.trees])
+    # Each tree's reached value comes from walking the tree, not from the boxes.
+    reached = np.concatenate([tree.predict_batch(vec[None, :]) for tree in ensemble.trees])
     y = boxes.value[alive] - reached[boxes.tree[alive]]
     result = float(y * y @ _interval_product(dists, lo, hi))
     cross = 0.0

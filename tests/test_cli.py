@@ -266,8 +266,12 @@ def test_benchmark_inline_calls_the_module_globals(monkeypatch):
     assert [e["method"] for e in report["entries"]] == ["mc", "qmc"]
     assert calls == {"pg2_exact": 3, "pg2_sampled": 6, "nmae": 2}
     assert cli_mod._BENCH is None
+    # a bad sampler configuration raises before any exact value is computed
     with pytest.raises(pg.ValidationError):
         cli_mod.run_benchmark(ens, data, methods=("zz",), **run)
+    with pytest.raises(pg.ValidationError):
+        cli_mod.run_benchmark(ens, data, **{**run, "iteration_grid": [0]})
+    assert calls["pg2_exact"] == 3
     assert cli_mod._BENCH is None
 
 
@@ -423,6 +427,8 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
                                "--metric", "pgi2", "--sigma-metric", "1.0"]),
         ("data.csv", "a,b\n", ["eval", "--method", "greedy-pg2", "--sigma-rank", "0.5",
                                "--metric", "randomize-rmse", "--k", "1"]),
+        ("unused", "", [*_BENCH, "--iteration-grid", "0"]),
+        ("unused", "", [*_BENCH, "--methods", "mc,zz"]),
     ],
     ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
          "one-element-point", "huge-leaf-value", "over-long-integer", "huge-xgboost-leaf",
@@ -432,7 +438,8 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
          "deep-dist-config", "over-long-integer-attributions", "deep-attributions",
          "over-long-csv-field", "unwritable-rank-out", "unwritable-benchmark-out",
          "unwritable-benchmark-csv-out", "unwritable-convert-output", "nan-label",
-         "inf-label", "header-only-pgi2", "header-only-randomize-rmse"],
+         "inf-label", "header-only-pgi2", "header-only-randomize-rmse", "zero-iterations",
+         "unknown-method"],
 )
 def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
     path = workdir / name

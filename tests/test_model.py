@@ -2,7 +2,9 @@
 
 import contextlib
 import json
+import pickle
 import signal
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import predgap as pg
 from predgap.errors import FormatError, ValidationError
 from predgap.model import ensemble_from_dict, ensemble_from_xgboost_dump
 
-from support import canonical_ensemble, depth1_tree, leaf, random_ensemble, split
+from support import canonical_ensemble, depth1_tree, lattice_point, leaf, random_ensemble, split
 
 
 def test_single_leaf_ensemble():
@@ -73,6 +75,28 @@ def test_predict_batch_matches_scalar():
     batch = ens.predict_batch(X)
     for i in range(X.shape[0]):
         assert batch[i] == ens.predict(X[i])
+    # predict reads the leaf boxes and predict_batch walks the trees: compare
+    # them on rows that sit exactly on split thresholds, where ties route right
+    ens = random_ensemble(rng, num_features=5, num_trees=4, max_depth=4, lattice_p=1.0)
+    X = np.array([lattice_point(rng, 5) for _ in range(64)])
+    assert any(
+        (X[:, t.feature[i]] == t.threshold[i]).any()
+        for t in ens.trees
+        for i in np.flatnonzero(t.feature >= 0)
+    )
+    batch = ens.predict_batch(X)
+    for i in range(X.shape[0]):
+        assert batch[i] == ens.predict(X[i])
+
+
+def test_tree_arrays_are_read_only():
+    # TreeEnsemble.leaf_boxes caches what the arrays say, so they cannot change
+    tree = pg.Tree(split(0, 0.0, leaf(0.0), leaf(1.0)))
+    for copy in (tree, pickle.loads(pickle.dumps(tree)), deepcopy(tree)):
+        assert copy == tree
+        for name in ("feature", "threshold", "right", "value"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(copy, name)[0] = 1
 
 
 def test_predict_validation():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import predgap as pg
-from predgap.errors import NumericDomainError, ValidationError
+from predgap.errors import ValidationError
 from predgap.perturb import _PRIMES
 
 from support import PHI_1, halton_point
@@ -89,7 +89,8 @@ def test_discrete_validation():
 def test_sampling_degenerate_discrete():
     d = pg.Discrete(points=((0.0, 1.0),))
     rng = np.random.default_rng(0)
-    assert all(d.sample(rng) == 0.0 for _ in range(100))
+    assert d.sample_n(rng, 1).tolist() == [0.0]
+    assert (d.sample_n(rng, 100) == 0.0).all()
 
 
 def test_gaussian_sampling_moments():
@@ -119,31 +120,22 @@ def test_sampling_deterministic_given_seed():
 # ---------------------------------------------------------------------------
 
 def test_inverse_cdf_values():
-    assert pg.Gaussian(1.0).inv_cdf(0.5) == 0.0
-    assert pg.Gaussian(2.0).inv_cdf(PHI_1) == pytest.approx(2.0, abs=1e-6)
-    assert pg.Uniform(1.0).inv_cdf(0.75) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_inverse_cdf_domain():
-    for u in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(NumericDomainError):
-            pg.Gaussian(1.0).inv_cdf(u)
+    assert pg.Gaussian(1.0).inv_cdf_n(np.array([0.5])).tolist() == [0.0]
+    assert pg.Gaussian(2.0).inv_cdf_n(np.array([PHI_1]))[0] == pytest.approx(2.0, abs=1e-6)
+    assert pg.Uniform(1.0).inv_cdf_n(np.array([0.75]))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_discrete_generalized_inverse():
     d = pg.Discrete(points=((-1.0, 0.25), (0.0, 0.5), (2.0, 0.25)))
-    assert d.inv_cdf(0.1) == -1.0
-    assert d.inv_cdf(0.25) == -1.0   # smallest offset whose CDF reaches u
-    assert d.inv_cdf(0.26) == 0.0
-    assert d.inv_cdf(0.75) == 0.0
-    assert d.inv_cdf(0.99) == 2.0
+    # 0.25 maps to -1.0: the smallest offset whose CDF reaches u
+    u = np.array([0.1, 0.25, 0.26, 0.75, 0.99])
+    assert d.inv_cdf_n(u).tolist() == [-1.0, -1.0, 0.0, 0.0, 2.0]
 
 
 @pytest.mark.parametrize("dist", [pg.Gaussian(1.0), pg.Gaussian(0.2), pg.Uniform(2.0)])
 def test_continuous_round_trip(dist):
     grid = np.concatenate(([1e-6], np.linspace(0.001, 0.999, 999), [1.0 - 1e-6]))
-    for u in grid:
-        assert dist.cdf(dist.inv_cdf(u)) == pytest.approx(u, abs=1e-8)
+    assert dist.cdf(dist.inv_cdf_n(grid)) == pytest.approx(grid, abs=1e-8)
 
 
 @pytest.mark.parametrize(

@@ -109,6 +109,10 @@ def test_config_validation():
         pg.EstimatorConfig(method="sobol", iterations=10)
     with pytest.raises(ValidationError):
         pg.EstimatorConfig(method="mc", iterations=0)
+    for iterations in (2.5, True):
+        with pytest.raises(ValidationError):
+            pg.EstimatorConfig(method="mc", iterations=iterations)
+    pg.EstimatorConfig(method="mc", iterations=np.int64(10))
 
 
 def test_qmc_multifeature_assignment_is_ascending():
