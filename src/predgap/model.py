@@ -28,6 +28,18 @@ from .errors import FormatError, ValidationError, read_json, write_text
 _MAX_FEATURE = np.iinfo(np.int64).max  # feature indices are stored as int64
 
 
+def _lock(owner, fields: dict) -> None:
+    """Set ``owner``'s fields, with every numpy array among them read-only.
+
+    Unpickled and copied arrays come back writable, so each class whose
+    arrays feed a cache calls this from ``__setstate__`` as well.
+    """
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(owner, name, value)
+
+
 class Tree:
     """A single tree stored as four flat, read-only pre-order numpy arrays.
 
@@ -37,8 +49,8 @@ class Tree:
     leaf, in which case ``value[i]`` holds the leaf value and ``right[i]`` is
     -1.  Building and serializing walk the nodes with explicit stacks or
     index order, so depth is not limited by Python's recursion limit.  The
-    arrays are read-only because ``TreeEnsemble.leaf_boxes`` caches what
-    they say.
+    arrays are read-only because ``TreeEnsemble.leaf_boxes`` and
+    ``TreeEnsemble.walks`` cache what they say.
     """
 
     __slots__ = ("feature", "threshold", "right", "value")
@@ -85,10 +97,12 @@ class Tree:
             stack.append((right, right_where, i, depth + 1))
             stack.append((left, left_where, -1, depth + 1))
         feature, threshold, right, value = zip(*rows)
-        self.feature, self.right = (np.array(a, dtype=np.int64) for a in (feature, right))
-        self.threshold, self.value = (np.array(a, dtype=np.float64) for a in (threshold, value))
-        for name in self.__slots__:
-            getattr(self, name).setflags(write=False)
+        _lock(self, {
+            "feature": np.array(feature, dtype=np.int64),
+            "threshold": np.array(threshold, dtype=np.float64),
+            "right": np.array(right, dtype=np.int64),
+            "value": np.array(value, dtype=np.float64),
+        })
 
     @property
     def node_count(self) -> int:
@@ -101,30 +115,18 @@ class Tree:
     @property
     def max_depth(self) -> int:
         """Longest root-to-leaf path, counted in edges."""
+        return int(self.node_depths().max())
+
+    def node_depths(self) -> np.ndarray:
+        """Each node's distance from the root, counted in edges."""
         depth = [0] * self.node_count
         right = self.right.tolist()
         for i in np.flatnonzero(self.feature >= 0).tolist():
             depth[i + 1] = depth[right[i]] = depth[i] + 1
-        return max(depth)
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        feat, thr, right = self.feature, self.threshold, self.right
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        pending = feat[idx] >= 0
-        while pending.any():
-            f = feat[idx]
-            go_left = X[rows, np.maximum(f, 0)] < thr[idx]
-            nxt = np.where(go_left, idx + 1, right[idx])
-            idx = np.where(pending, nxt, idx)
-            pending = feat[idx] >= 0
-        return self.value[idx]
+        return np.array(depth)
 
     def __setstate__(self, state) -> None:
-        """Unpickled and copied numpy arrays come back writable; lock them again."""
-        for name, array in state[1].items():
-            array.setflags(write=False)
-            setattr(self, name, array)
+        _lock(self, state[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tree):
@@ -160,18 +162,74 @@ class LeafBoxes:
     tree: np.ndarray  # (L,) tree index
     node: np.ndarray  # (L,) node index within the tree
 
+    def __post_init__(self) -> None:
+        _lock(self, vars(self))
+
+    def __setstate__(self, state) -> None:
+        _lock(self, state)
+
     def holds(self, vec: np.ndarray) -> np.ndarray:
         """(L, d) booleans: whether leaf u's box holds ``vec`` on feature q."""
         return (self.lo <= vec) & (vec < self.hi)
 
 
 @dataclass(frozen=True)
+class TreeWalk:
+    """One tree's tables for ``TreeEnsemble.predict_batch``'s level walk.
+
+    One level moves a row at node i to ``child[2*i + go_left]``, where
+    ``go_left`` is ``x[feature[i]] < tree.threshold[i]``.  A leaf is its own
+    child on both sides and reads feature 0, so rows that reach a leaf stay
+    there, without a mask, while deeper rows of the batch walk on.
+    """
+
+    tree: Tree
+    child: np.ndarray  # (2n,) int64
+    feature: np.ndarray  # (n,) int64; the tree's split features, 0 at a leaf
+    depth: int  # the longest root-to-leaf path, in edges
+    shallowest_leaf: int  # the shortest one
+
+    def __post_init__(self) -> None:
+        _lock(self, vars(self))
+
+    def __setstate__(self, state) -> None:
+        _lock(self, state)
+
+    @staticmethod
+    def of(tree: Tree) -> TreeWalk:
+        node = np.arange(tree.node_count)
+        is_split = tree.feature >= 0
+        child = np.empty(2 * tree.node_count, dtype=np.int64)
+        child[0::2] = np.where(is_split, tree.right, node)
+        child[1::2] = np.where(is_split, node + 1, node)
+        depths = tree.node_depths()
+        return TreeWalk(
+            tree, child, np.maximum(tree.feature, 0),
+            int(depths.max()), int(depths[~is_split].min()),
+        )
+
+    def leaves(self, flat: np.ndarray, row_offset: np.ndarray) -> np.ndarray:
+        """The leaf each row reaches; row r's features start at ``flat[row_offset[r]]``.
+
+        Rows that all sit on leaves stop the walk early.  That can only
+        happen at or below the shallowest leaf, so only those levels check.
+        """
+        child, feature, threshold = self.child, self.feature, self.tree.threshold
+        idx = np.zeros(row_offset.size, dtype=np.int64)
+        for level in range(1, self.depth + 1):
+            idx = child[2 * idx + (flat[row_offset + feature[idx]] < threshold[idx])]
+            if self.shallowest_leaf <= level < self.depth and (self.tree.feature[idx] < 0).all():
+                break
+        return idx
+
+
+@dataclass(frozen=True)
 class TreeEnsemble:
     """An additive ensemble of binary trees over ``num_features`` inputs.
 
-    Immutable after construction (``leaf_boxes`` is derived once, on first
-    use); prediction is pure, so instances are safe to share across threads
-    and processes.
+    Immutable after construction (``leaf_boxes`` and ``walks`` are derived
+    once, on first use, and read-only); prediction is pure, so instances are
+    safe to share across threads and processes.
     """
 
     trees: tuple[Tree, ...]
@@ -221,6 +279,10 @@ class TreeEnsemble:
             parts.append((lo[leaves], hi[leaves], tree.value[leaves], np.full(leaves.size, t), leaves))
         return LeafBoxes(*(np.concatenate(column) for column in zip(*parts)))
 
+    @cached_property
+    def walks(self) -> tuple[TreeWalk, ...]:
+        return tuple(TreeWalk.of(tree) for tree in self.trees)
+
     def predict(self, x) -> float:
         """The sum, in tree order, of the values of the leaves whose box holds x."""
         vec = as_feature_vector(x, self.num_features)
@@ -228,6 +290,7 @@ class TreeEnsemble:
         return float(sum(boxes.value[boxes.holds(vec).all(axis=1)].tolist()))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """The sum, in tree order, of the values of the leaves each row reaches."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.num_features:
             raise ValidationError(
@@ -235,14 +298,16 @@ class TreeEnsemble:
             )
         if not np.isfinite(X).all():
             raise ValidationError("feature matrix contains non-finite entries")
+        flat = np.ascontiguousarray(X).ravel()
+        row_offset = np.arange(0, flat.size, self.num_features)
         out = np.zeros(X.shape[0], dtype=np.float64)
-        for t in self.trees:
-            out += t.predict_batch(X)
+        for walk in self.walks:
+            out += walk.tree.value[walk.leaves(flat, row_offset)]
         return out
 
 
 def _as_index(value, what: str) -> int:
-    """A feature index as an int; bools and non-integral numbers raise."""
+    """An index or count as an int; bools and non-integral numbers raise."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ValidationError(f"{what} must be an integer, got {value!r}")

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import erf, ndtri
 
 from .errors import ValidationError
+from .model import _as_index
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -248,8 +249,21 @@ def _first_primes(count: int) -> tuple[int, ...]:
 _PRIMES = _first_primes(256)
 
 
+# Column j holds coordinate j of the Halton points 1..len, read-only.  Calls
+# extend a column only by the indices no call has asked for yet, so the
+# cache holds at most the largest count times the largest dim asked for.
+# A call reads and replaces a column through its own local name, so calls
+# from several threads at worst recompute some points.
+_HALTON_COLUMNS: list[np.ndarray] = [np.empty(0)] * len(_PRIMES)
+
+
 def halton_matrix(count: int, dim: int) -> np.ndarray:
-    """Unscrambled Halton points in [0, 1)^dim for indices 1..count, one row per index."""
+    """Unscrambled Halton points in [0, 1)^dim for indices 1..count, one row per index.
+
+    Every call returns a new array, copied from a per-process cache of the
+    points computed so far.
+    """
+    count, dim = _as_index(count, "halton count"), _as_index(dim, "halton dimension")
     if count < 1:
         raise ValidationError(f"need at least one halton point, got {count}")
     if not 1 <= dim <= len(_PRIMES):
@@ -257,15 +271,23 @@ def halton_matrix(count: int, dim: int) -> np.ndarray:
             f"halton dimension {dim} outside the prime-table capacity (1..{len(_PRIMES)})"
         )
     out = np.empty((count, dim), dtype=np.float64)
-    indices = np.arange(1, count + 1, dtype=np.int64)
     for j in range(dim):
-        base = _PRIMES[j]
-        work = indices.copy()
-        inv = np.zeros(count, dtype=np.float64)
-        scale = 1.0 / base
-        while work.any():
-            inv += (work % base) * scale
-            work //= base
-            scale /= base
-        out[:, j] = inv
+        column = _HALTON_COLUMNS[j]
+        if column.size < count:
+            # A radical inverse depends only on its own index: the digits
+            # past an index's last one add zero, and every index sees the
+            # same scales.  So the new points are the ones a cold start
+            # would compute.
+            base = _PRIMES[j]
+            work = np.arange(column.size + 1, count + 1, dtype=np.int64)
+            inv = np.zeros(work.size, dtype=np.float64)
+            scale = 1.0 / base
+            while work.any():
+                inv += (work % base) * scale
+                work //= base
+                scale /= base
+            column = np.concatenate((column, inv))
+            column.setflags(write=False)
+            _HALTON_COLUMNS[j] = column
+        out[:, j] = column[:count]
     return out

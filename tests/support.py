@@ -109,6 +109,25 @@ def fixture_ensemble():
     return ensemble, pairs
 
 
+def walk_oracle(ensemble, X) -> np.ndarray:
+    """``predict_batch`` as the pending-mask walk: each tree moves only the
+    rows not yet on a leaf, one level at a time, until none are left; the
+    leaf values are summed in tree order."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.zeros(X.shape[0], dtype=np.float64)
+    rows = np.arange(X.shape[0])
+    for tree in ensemble.trees:
+        feat, thr, right = tree.feature, tree.threshold, tree.right
+        idx = np.zeros(X.shape[0], dtype=np.int64)
+        pending = feat[idx] >= 0
+        while pending.any():
+            go_left = X[rows, np.maximum(feat[idx], 0)] < thr[idx]
+            idx = np.where(pending, np.where(go_left, idx + 1, right[idx]), idx)
+            pending = feat[idx] >= 0
+        out += tree.value[idx]
+    return out
+
+
 def radical_inverse(index: int, base: int) -> float:
     """Reflect the base-``base`` digits of ``index`` about the radix point."""
     inv = 0.0
@@ -176,7 +195,10 @@ def pg2_pair_oracle(ensemble, x, features, spec) -> float:
     vec, alive, lo, hi, dists = _alive_boxes(ensemble, x, features, spec)
     boxes = ensemble.leaf_boxes
     # Each tree's reached value comes from walking the tree, not from the boxes.
-    reached = np.concatenate([tree.predict_batch(vec[None, :]) for tree in ensemble.trees])
+    reached = np.concatenate([
+        pg.TreeEnsemble((tree,), ensemble.num_features).predict_batch(vec[None, :])
+        for tree in ensemble.trees
+    ])
     y = boxes.value[alive] - reached[boxes.tree[alive]]
     result = float(y * y @ _interval_product(dists, lo, hi))
     cross = 0.0

@@ -216,7 +216,10 @@ def test_gaussian_and_uniform_goldens():
         # Interval probabilities are differences of CDF values near 1, so
         # allow their rounding on top of the relative tolerance.
         spread = sum(
-            sum(abs(v - tree.predict_batch(x[None, :])[0]) for v in tree.value[tree.feature < 0])
+            sum(
+                abs(v - pg.TreeEnsemble((tree,), ens.num_features).predict_batch(x[None, :])[0])
+                for v in tree.value[tree.feature < 0]
+            )
             for tree in ens.trees
         )
         tol = 1e-9 * abs(want) + 1e-15 * len(feats) * spread**2

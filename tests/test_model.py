@@ -15,7 +15,16 @@ import predgap as pg
 from predgap.errors import FormatError, ValidationError
 from predgap.model import ensemble_from_dict, ensemble_from_xgboost_dump
 
-from support import canonical_ensemble, depth1_tree, lattice_point, leaf, random_ensemble, split
+from support import (
+    canonical_ensemble,
+    depth1_tree,
+    lattice_point,
+    leaf,
+    perfect_tree,
+    random_ensemble,
+    split,
+    walk_oracle,
+)
 
 
 def test_single_leaf_ensemble():
@@ -89,14 +98,112 @@ def test_predict_batch_matches_scalar():
         assert batch[i] == ens.predict(X[i])
 
 
+def _chain(depth):
+    """A one-feature chain: split k sends x < k to a leaf of value 1 and
+    x >= k on down, to a last leaf of value 0."""
+    node = leaf(0.0)
+    for k in reversed(range(depth)):
+        node = split(0, k, leaf(1.0), node)
+    return pg.Tree(node)
+
+
 def test_tree_arrays_are_read_only():
-    # TreeEnsemble.leaf_boxes caches what the arrays say, so they cannot change
+    # TreeEnsemble.leaf_boxes and TreeEnsemble.walks cache what the tree
+    # arrays say, and predict and predict_batch read those caches, so none
+    # of them can change
     tree = pg.Tree(split(0, 0.0, leaf(0.0), leaf(1.0)))
     for copy in (tree, pickle.loads(pickle.dumps(tree)), deepcopy(tree)):
         assert copy == tree
         for name in ("feature", "threshold", "right", "value"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(copy, name)[0] = 1
+    ens = pg.TreeEnsemble(trees=(tree,), num_features=1)
+    assert ens.predict([0.5]) == ens.predict_batch([[0.5]])[0] == 1.0
+    for copy in (ens, pickle.loads(pickle.dumps(ens)), deepcopy(ens)):
+        boxes, (walk,) = copy.leaf_boxes, copy.walks
+        for box in (boxes, pickle.loads(pickle.dumps(boxes)), deepcopy(boxes)):
+            for name in ("lo", "hi", "value", "tree", "node"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(box, name)[0] = 1
+        for w in (walk, pickle.loads(pickle.dumps(walk)), deepcopy(walk)):
+            for array in (w.child, w.feature, w.tree.threshold, w.tree.value):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+        assert copy.predict([0.5]) == copy.predict_batch([[0.5]])[0] == 1.0
+
+
+def test_predict_batch_matches_walk_oracle():
+    rng = np.random.default_rng(14)
+    ensembles = [
+        random_ensemble(rng, num_features=4, num_trees=5, max_depth=5),
+        random_ensemble(rng, num_features=4, num_trees=5, max_depth=5, lattice_p=1.0),
+        # single-leaf trees, alone and among splits
+        pg.TreeEnsemble(trees=(pg.Tree(leaf(2.5)),), num_features=4),
+        pg.TreeEnsemble(
+            trees=(pg.Tree(leaf(-1.0)), depth1_tree(), pg.Tree(leaf(0.25))), num_features=4
+        ),
+        # perfect trees of mixed depths, and a random tree between them
+        pg.TreeEnsemble(
+            trees=tuple(perfect_tree(rng, 4, depth) for depth in (3, 0, 6, 1))
+            + random_ensemble(rng, num_features=4, num_trees=1, max_depth=7).trees,
+            num_features=4,
+        ),
+    ]
+    for ens in ensembles:
+        X = np.array([lattice_point(rng, 4) for _ in range(200)])
+        thresholds = [
+            (t.feature[i], t.threshold[i])
+            for t in ens.trees
+            for i in np.flatnonzero(t.feature >= 0)
+        ]
+        for r, (q, cut) in enumerate(thresholds[:100]):
+            X[r, q] = cut  # rows on the splits' thresholds, where ties route right
+        want = walk_oracle(ens, X)
+        assert np.array_equal(ens.predict_batch(X), want)
+        assert np.array_equal(ens.predict_batch(np.asfortranarray(X)), want)
+        strided = np.repeat(X, 3, axis=0)[::3]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(ens.predict_batch(strided), want)
+        assert np.array_equal(ens.predict_batch(np.repeat(X, 2, axis=1)[:, ::2]), want)
+        assert ens.predict_batch(np.empty((0, 4))).shape == (0,)
+
+
+class _CountingRows(np.ndarray):
+    """A flat feature array that counts the levels a walk reads it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        type(self).reads += 1
+        return np.asarray(self)[key]
+
+
+def _levels_walked(walk, X):
+    _CountingRows.reads = 0
+    flat = np.ascontiguousarray(X, dtype=np.float64).ravel().view(_CountingRows)
+    walk.leaves(flat, np.arange(0, flat.size, X.shape[1]))
+    return _CountingRows.reads
+
+
+def test_predict_batch_on_a_deep_chain():
+    depth = 1500
+    ens = pg.TreeEnsemble(trees=(_chain(depth),), num_features=1)
+    (walk,) = ens.walks
+    assert (walk.depth, walk.shallowest_leaf) == (depth, 1)
+    leave_at_once = np.array([[-3.0], [-0.5], [-1e9]])
+    to_the_bottom = np.array([[depth - 1.0], [depth + 0.5], [1e9]])
+    on_the_way = np.array([[0.0], [0.5], [700.0], [depth - 2.5]])
+    for X in (leave_at_once, to_the_bottom, on_the_way, np.vstack((leave_at_once, to_the_bottom))):
+        assert np.array_equal(ens.predict_batch(X), walk_oracle(ens, X))
+    assert ens.predict_batch(leave_at_once).tolist() == [1.0, 1.0, 1.0]
+    assert ens.predict_batch(to_the_bottom).tolist() == [0.0, 0.0, 0.0]
+    # the walk stops at the level where every row sits on a leaf
+    assert _levels_walked(walk, leave_at_once) == 1
+    assert _levels_walked(walk, on_the_way) == depth - 1
+    assert _levels_walked(walk, to_the_bottom) == depth
+    perfect = perfect_tree(np.random.default_rng(15), 2, 4)
+    (walk,) = pg.TreeEnsemble(trees=(perfect,), num_features=2).walks
+    assert _levels_walked(walk, np.zeros((5, 2))) == 4
 
 
 def test_predict_validation():
@@ -192,13 +299,8 @@ def test_invalid_json_reports_line(tmp_path):
 
 
 def test_deep_tree(tmp_path):
-    # A chain: split k sends x < k to a leaf of value 1 and x >= k on down,
-    # to a last leaf of value 0.
     depth = 1500
-    node = leaf(0.0)
-    for k in reversed(range(depth)):
-        node = split(0, k, leaf(1.0), node)
-    tree = pg.Tree(node)
+    tree = _chain(depth)
     assert tree.max_depth == depth
     ens = pg.TreeEnsemble(trees=(tree,), num_features=1)
     # x sits on the last threshold, so the gap is 1 exactly when the noise

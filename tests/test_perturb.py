@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import predgap as pg
+from predgap import perturb
 from predgap.errors import ValidationError
 from predgap.perturb import _PRIMES
 
@@ -170,12 +171,33 @@ def test_halton_capacity_error():
         pg.halton_matrix(1, len(_PRIMES) + 1)
     with pytest.raises(ValidationError):
         pg.halton_matrix(0, 1)
+    for count, dim in ((2.5, 1), (True, 1), (3, 2.0), (3, False)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            pg.halton_matrix(count, dim)
+    assert pg.halton_matrix(np.int64(3), np.int64(2)).shape == (3, 2)
 
 
 def test_halton_matrix_matches_points():
     M = pg.halton_matrix(20, 3)
     for i in range(20):
         assert tuple(M[i]) == pytest.approx(halton_point(i + 1, 3))
+
+
+def test_halton_cache_in_any_call_order(monkeypatch):
+    monkeypatch.setattr(perturb, "_HALTON_COLUMNS", [np.empty(0)] * len(_PRIMES))
+    # grow, shrink, raise dim, lower dim, then grow past every column
+    calls = ((5, 2), (40, 3), (12, 1), (40, 6), (3, 4), (90, 2), (1, 7), (100, 3))
+    for count, dim in calls:
+        M = pg.halton_matrix(count, dim)
+        assert M.shape == (count, dim) and M.flags.writeable
+        assert [tuple(row) for row in M.tolist()] == [
+            halton_point(i, dim) for i in range(1, count + 1)
+        ]
+        M[:] = -1.0  # a caller's writes stay in its own copy
+    # each column holds the points up to the largest count asked of it
+    sizes = [max(count for count, dim in calls if dim > j) for j in range(7)]
+    assert [perturb._HALTON_COLUMNS[j].size for j in range(8)] == sizes + [0]
+    assert not perturb._HALTON_COLUMNS[0].flags.writeable
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 6])
