@@ -194,6 +194,8 @@ def sample_pairs(
         raise ValidationError("dataset has no instances")
     if sizes is None:
         sizes = list(range(1, num_features + 1))
+    if not sizes:
+        raise ValidationError("need at least one subset size")
     for k in sizes:
         if not 0 <= k <= num_features:
             raise ValidationError(f"subset size {k} outside 0..{num_features}")

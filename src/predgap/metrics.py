@@ -66,19 +66,15 @@ def xi_random(
     keep,
     dataset: Dataset,
     samples: int = 100,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
 ) -> float:
     """Average prediction after replacing non-kept features with empirical draws.
 
     Features outside ``keep`` are resampled independently (with replacement)
     from the dataset's corresponding column; features in ``keep`` stay fixed
-    at the value in ``x``.
+    at the value in ``x``.  The draws come from ``np.random.default_rng(seed)``.
     """
     rng = np.random.default_rng(seed)
-    return _xi_random(ensemble, x, keep, dataset, samples, rng)
-
-
-def _xi_random(ensemble, x, keep, dataset, samples, rng) -> float:
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     if dataset.num_instances < 1:
@@ -131,9 +127,7 @@ def randomization_rmse(
     for i, ranking in enumerate(rankings):
         x = dataset.instance(i)
         keep = [j for j in range(ensemble.num_features) if j not in ranking.prefix(k)]
-        xi = _xi_random(
-            ensemble, x, keep, dataset, samples, np.random.default_rng(streams[i])
-        )
+        xi = xi_random(ensemble, x, keep, dataset, samples, seed=streams[i])
         reference = float(labels[i]) if labels is not None else ensemble.predict(x)
         total += (reference - xi) ** 2
     return math.sqrt(total / dataset.num_instances)

@@ -9,7 +9,7 @@ the plain sum of per-tree leaf values.
 nested dicts that ``ensemble_from_dict`` reads for each entry of a file's
 ``trees``: a leaf is ``{"value": v}`` and a split is ``{"feature": f,
 "threshold": t, "left": node, "right": node}``.  XGBoost dumps have their
-own node reader; both fill the same four pre-order arrays.
+own node reader; both fill the same pre-order arrays.
 """
 
 from __future__ import annotations
@@ -41,19 +41,22 @@ def _lock(owner, fields: dict) -> None:
 
 
 class Tree:
-    """A single tree stored as four flat, read-only pre-order numpy arrays.
+    """A single tree stored as flat, read-only pre-order numpy arrays.
 
     Node 0 is the root.  A split's left child is always the next node, i + 1,
-    and its right child ``right[i]`` follows the whole left subtree, so every
-    child has a larger index than its parent.  ``feature[i] < 0`` marks a
-    leaf, in which case ``value[i]`` holds the leaf value and ``right[i]`` is
-    -1.  Building and serializing walk the nodes with explicit stacks or
-    index order, so depth is not limited by Python's recursion limit.  The
-    arrays are read-only because ``TreeEnsemble.leaf_boxes`` and
-    ``TreeEnsemble.walks`` cache what they say.
+    and its right child follows the whole left subtree, so every child has a
+    larger index than its parent.  ``feature[i] < 0`` marks a leaf, in which
+    case ``value[i]`` holds the leaf value.  ``child[2*i + go_left]`` is the
+    node after i on the path of an input x, where ``go_left`` is ``x[feature[i]]
+    < threshold[i]``; a leaf is its own child on both sides.  ``max_depth``
+    and ``shallowest_leaf`` are the longest and shortest root-to-leaf paths,
+    counted in edges.  Building and serializing walk the nodes with explicit
+    stacks or index order, so depth is not limited by Python's recursion
+    limit.  The arrays are read-only because ``TreeEnsemble.leaf_boxes``
+    caches what they say.
     """
 
-    __slots__ = ("feature", "threshold", "right", "value")
+    __slots__ = ("feature", "threshold", "child", "value", "max_depth", "shallowest_leaf")
 
     def __init__(self, root) -> None:
         """Build from a nested node dict in the model file's schema."""
@@ -66,7 +69,8 @@ class Tree:
         returns either its leaf value or the tuple ``(feature, threshold,
         left, left_where, right, right_where)``.
         """
-        rows = []  # [feature, threshold, right, value] per node
+        rows = []  # [feature, threshold, value, right child, left child] per node
+        leaf_depths = []
         # Right children wait on the stack with the index of their parent;
         # a left child is always its parent's next node.  Each entry also
         # carries its depth, which cuts ``path`` back to the splits above it.
@@ -80,28 +84,31 @@ class Tree:
                 raise ValidationError(f"{where}: node is its own ancestor (a cyclic tree)")
             i = len(rows)
             if parent >= 0:
-                rows[parent][2] = i
+                rows[parent][3] = i
             node = read_node(obj, where)
             if not isinstance(node, tuple):
                 if not math.isfinite(node):
                     raise ValidationError(f"{where}: leaf value must be finite")
-                rows.append([-1, 0.0, -1, float(node)])
+                rows.append([-1, 0.0, float(node), i, i])
+                leaf_depths.append(depth)
                 continue
             feature, threshold, left, left_where, right, right_where = node
             if not 0 <= feature <= _MAX_FEATURE:
                 raise ValidationError(f"{where}: feature index {feature} out of range")
             if not math.isfinite(threshold):
                 raise ValidationError(f"{where}: split threshold must be finite")
-            rows.append([feature, float(threshold), -1, 0.0])
+            rows.append([feature, float(threshold), 0.0, -1, i + 1])
             path[id(obj)] = None
             stack.append((right, right_where, i, depth + 1))
             stack.append((left, left_where, -1, depth + 1))
-        feature, threshold, right, value = zip(*rows)
+        feature, threshold, value, right, left = zip(*rows)
         _lock(self, {
             "feature": np.array(feature, dtype=np.int64),
             "threshold": np.array(threshold, dtype=np.float64),
-            "right": np.array(right, dtype=np.int64),
+            "child": np.array((right, left), dtype=np.int64).T.ravel(),
             "value": np.array(value, dtype=np.float64),
+            "max_depth": max(leaf_depths),
+            "shallowest_leaf": min(leaf_depths),
         })
 
     @property
@@ -112,18 +119,23 @@ class Tree:
     def leaf_count(self) -> int:
         return int(np.count_nonzero(self.feature < 0))
 
-    @property
-    def max_depth(self) -> int:
-        """Longest root-to-leaf path, counted in edges."""
-        return int(self.node_depths().max())
+    def leaves(self, flat: np.ndarray, row_offset: np.ndarray) -> np.ndarray:
+        """The leaf each row reaches; row r's features start at ``flat[row_offset[r]]``.
 
-    def node_depths(self) -> np.ndarray:
-        """Each node's distance from the root, counted in edges."""
-        depth = [0] * self.node_count
-        right = self.right.tolist()
-        for i in np.flatnonzero(self.feature >= 0).tolist():
-            depth[i + 1] = depth[right[i]] = depth[i] + 1
-        return np.array(depth)
+        One level moves every row one step down ``child``, with no mask: a
+        row on a leaf reads ``flat[row_offset[r] - 1]`` (numpy wraps row 0's
+        read to the last element), and the leaf's self-loop discards the
+        comparison.  Rows that all sit on leaves stop the walk early.  That
+        can only happen at or below the shallowest leaf, so only those levels
+        check.
+        """
+        child, feature, threshold = self.child, self.feature, self.threshold
+        idx = np.zeros(row_offset.size, dtype=np.int64)
+        for level in range(1, self.max_depth + 1):
+            idx = child[2 * idx + (flat[row_offset + feature[idx]] < threshold[idx])]
+            if self.shallowest_leaf <= level < self.max_depth and (feature[idx] < 0).all():
+                break
+        return idx
 
     def __setstate__(self, state) -> None:
         _lock(self, state[1])
@@ -174,62 +186,12 @@ class LeafBoxes:
 
 
 @dataclass(frozen=True)
-class TreeWalk:
-    """One tree's tables for ``TreeEnsemble.predict_batch``'s level walk.
-
-    One level moves a row at node i to ``child[2*i + go_left]``, where
-    ``go_left`` is ``x[feature[i]] < tree.threshold[i]``.  A leaf is its own
-    child on both sides and reads feature 0, so rows that reach a leaf stay
-    there, without a mask, while deeper rows of the batch walk on.
-    """
-
-    tree: Tree
-    child: np.ndarray  # (2n,) int64
-    feature: np.ndarray  # (n,) int64; the tree's split features, 0 at a leaf
-    depth: int  # the longest root-to-leaf path, in edges
-    shallowest_leaf: int  # the shortest one
-
-    def __post_init__(self) -> None:
-        _lock(self, vars(self))
-
-    def __setstate__(self, state) -> None:
-        _lock(self, state)
-
-    @staticmethod
-    def of(tree: Tree) -> TreeWalk:
-        node = np.arange(tree.node_count)
-        is_split = tree.feature >= 0
-        child = np.empty(2 * tree.node_count, dtype=np.int64)
-        child[0::2] = np.where(is_split, tree.right, node)
-        child[1::2] = np.where(is_split, node + 1, node)
-        depths = tree.node_depths()
-        return TreeWalk(
-            tree, child, np.maximum(tree.feature, 0),
-            int(depths.max()), int(depths[~is_split].min()),
-        )
-
-    def leaves(self, flat: np.ndarray, row_offset: np.ndarray) -> np.ndarray:
-        """The leaf each row reaches; row r's features start at ``flat[row_offset[r]]``.
-
-        Rows that all sit on leaves stop the walk early.  That can only
-        happen at or below the shallowest leaf, so only those levels check.
-        """
-        child, feature, threshold = self.child, self.feature, self.tree.threshold
-        idx = np.zeros(row_offset.size, dtype=np.int64)
-        for level in range(1, self.depth + 1):
-            idx = child[2 * idx + (flat[row_offset + feature[idx]] < threshold[idx])]
-            if self.shallowest_leaf <= level < self.depth and (self.tree.feature[idx] < 0).all():
-                break
-        return idx
-
-
-@dataclass(frozen=True)
 class TreeEnsemble:
     """An additive ensemble of binary trees over ``num_features`` inputs.
 
-    Immutable after construction (``leaf_boxes`` and ``walks`` are derived
-    once, on first use, and read-only); prediction is pure, so instances are
-    safe to share across threads and processes.
+    Immutable after construction (``leaf_boxes`` is derived once, on first
+    use, and read-only); prediction is pure, so instances are safe to share
+    across threads and processes.
     """
 
     trees: tuple[Tree, ...]
@@ -266,11 +228,11 @@ class TreeEnsemble:
             # Nodes are stored in pre-order, so a parent's box is final
             # before either child reads it.  Python scalars index faster
             # than numpy ones.
-            feature, threshold, right = (
-                a.tolist() for a in (tree.feature, tree.threshold, tree.right)
+            feature, threshold, child = (
+                a.tolist() for a in (tree.feature, tree.threshold, tree.child)
             )
             for i in np.flatnonzero(tree.feature >= 0).tolist():
-                q, cut, a, b = feature[i], threshold[i], i + 1, right[i]
+                q, cut, a, b = feature[i], threshold[i], i + 1, child[2 * i]
                 lo[a] = lo[b] = lo[i]
                 hi[a] = hi[b] = hi[i]
                 hi[a, q] = min(hi[i, q], cut)
@@ -278,10 +240,6 @@ class TreeEnsemble:
             leaves = np.flatnonzero(tree.feature < 0)
             parts.append((lo[leaves], hi[leaves], tree.value[leaves], np.full(leaves.size, t), leaves))
         return LeafBoxes(*(np.concatenate(column) for column in zip(*parts)))
-
-    @cached_property
-    def walks(self) -> tuple[TreeWalk, ...]:
-        return tuple(TreeWalk.of(tree) for tree in self.trees)
 
     def predict(self, x) -> float:
         """The sum, in tree order, of the values of the leaves whose box holds x."""
@@ -301,8 +259,8 @@ class TreeEnsemble:
         flat = np.ascontiguousarray(X).ravel()
         row_offset = np.arange(0, flat.size, self.num_features)
         out = np.zeros(X.shape[0], dtype=np.float64)
-        for walk in self.walks:
-            out += walk.tree.value[walk.leaves(flat, row_offset)]
+        for tree in self.trees:
+            out += tree.value[tree.leaves(flat, row_offset)]
         return out
 
 
@@ -379,8 +337,8 @@ def ensemble_from_dict(obj) -> TreeEnsemble:
 
 
 def _tree_to_dict(tree: Tree) -> dict:
-    feature, threshold, right, value = (
-        getattr(tree, name).tolist() for name in Tree.__slots__
+    feature, threshold, child, value = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.child, tree.value)
     )
     # Children come after their parents, so a reverse pass meets both
     # children of a split before the split itself.
@@ -393,7 +351,7 @@ def _tree_to_dict(tree: Tree) -> dict:
                 "feature": feature[i],
                 "threshold": threshold[i],
                 "left": nodes[i + 1],
-                "right": nodes[right[i]],
+                "right": nodes[child[2 * i]],
             }
     return nodes[0]
 

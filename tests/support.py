@@ -117,7 +117,7 @@ def walk_oracle(ensemble, X) -> np.ndarray:
     out = np.zeros(X.shape[0], dtype=np.float64)
     rows = np.arange(X.shape[0])
     for tree in ensemble.trees:
-        feat, thr, right = tree.feature, tree.threshold, tree.right
+        feat, thr, right = tree.feature, tree.threshold, tree.child[0::2]
         idx = np.zeros(X.shape[0], dtype=np.int64)
         pending = feat[idx] >= 0
         while pending.any():

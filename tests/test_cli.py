@@ -429,6 +429,10 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
                                "--metric", "randomize-rmse", "--k", "1"]),
         ("unused", "", [*_BENCH, "--iteration-grid", "0"]),
         ("unused", "", [*_BENCH, "--methods", "mc,zz"]),
+        ("unused", "", [*_BENCH, "--sizes", " "]),
+        ("dist.json", '{"kind": "gaussian", "sigma": true}', _DIST),
+        ("dist.json", '{"kind": "gaussian", "sigma": "0.3"}', _DIST),
+        ("dist.json", '{"kind": "discrete", "points": [[false, true]]}', _DIST),
     ],
     ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
          "one-element-point", "huge-leaf-value", "over-long-integer", "huge-xgboost-leaf",
@@ -439,7 +443,8 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
          "over-long-csv-field", "unwritable-rank-out", "unwritable-benchmark-out",
          "unwritable-benchmark-csv-out", "unwritable-convert-output", "nan-label",
          "inf-label", "header-only-pgi2", "header-only-randomize-rmse", "zero-iterations",
-         "unknown-method"],
+         "unknown-method", "blank-sizes", "boolean-sigma", "string-sigma",
+         "boolean-discrete-point"],
 )
 def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
     path = workdir / name

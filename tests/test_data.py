@@ -155,6 +155,12 @@ def test_sample_pairs_explicit_sizes_allow_empty():
     assert [len(p.feature_set) for p in pairs] == [0, 2, 0, 2]
 
 
+def test_sample_pairs_rejects_an_empty_size_cycle():
+    data = pg.Dataset(values=np.zeros((3, 2)), feature_names=("a", "b"))
+    with pytest.raises(ValidationError, match="subset size"):
+        pg.sample_pairs(data, 2, 4, seed=1, sizes=[])
+
+
 def test_sample_pairs_size_histogram_remainder_rule():
     data = pg.Dataset(values=np.zeros((4, 3)), feature_names=("a", "b", "c"))
     pairs = pg.sample_pairs(data, 3, 8, seed=2)

@@ -108,27 +108,23 @@ def _chain(depth):
 
 
 def test_tree_arrays_are_read_only():
-    # TreeEnsemble.leaf_boxes and TreeEnsemble.walks cache what the tree
-    # arrays say, and predict and predict_batch read those caches, so none
-    # of them can change
+    # TreeEnsemble.leaf_boxes caches what the tree arrays say, predict reads
+    # that cache and predict_batch walks the arrays, so none of them can change
     tree = pg.Tree(split(0, 0.0, leaf(0.0), leaf(1.0)))
     for copy in (tree, pickle.loads(pickle.dumps(tree)), deepcopy(tree)):
         assert copy == tree
-        for name in ("feature", "threshold", "right", "value"):
+        assert (copy.max_depth, copy.shallowest_leaf) == (1, 1)
+        for name in ("feature", "threshold", "child", "value"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(copy, name)[0] = 1
     ens = pg.TreeEnsemble(trees=(tree,), num_features=1)
     assert ens.predict([0.5]) == ens.predict_batch([[0.5]])[0] == 1.0
     for copy in (ens, pickle.loads(pickle.dumps(ens)), deepcopy(ens)):
-        boxes, (walk,) = copy.leaf_boxes, copy.walks
+        boxes = copy.leaf_boxes
         for box in (boxes, pickle.loads(pickle.dumps(boxes)), deepcopy(boxes)):
             for name in ("lo", "hi", "value", "tree", "node"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(box, name)[0] = 1
-        for w in (walk, pickle.loads(pickle.dumps(walk)), deepcopy(walk)):
-            for array in (w.child, w.feature, w.tree.threshold, w.tree.value):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 1
         assert copy.predict([0.5]) == copy.predict_batch([[0.5]])[0] == 1.0
 
 
@@ -178,18 +174,18 @@ class _CountingRows(np.ndarray):
         return np.asarray(self)[key]
 
 
-def _levels_walked(walk, X):
+def _levels_walked(tree, X):
     _CountingRows.reads = 0
     flat = np.ascontiguousarray(X, dtype=np.float64).ravel().view(_CountingRows)
-    walk.leaves(flat, np.arange(0, flat.size, X.shape[1]))
+    tree.leaves(flat, np.arange(0, flat.size, X.shape[1]))
     return _CountingRows.reads
 
 
 def test_predict_batch_on_a_deep_chain():
     depth = 1500
-    ens = pg.TreeEnsemble(trees=(_chain(depth),), num_features=1)
-    (walk,) = ens.walks
-    assert (walk.depth, walk.shallowest_leaf) == (depth, 1)
+    tree = _chain(depth)
+    ens = pg.TreeEnsemble(trees=(tree,), num_features=1)
+    assert (tree.max_depth, tree.shallowest_leaf) == (depth, 1)
     leave_at_once = np.array([[-3.0], [-0.5], [-1e9]])
     to_the_bottom = np.array([[depth - 1.0], [depth + 0.5], [1e9]])
     on_the_way = np.array([[0.0], [0.5], [700.0], [depth - 2.5]])
@@ -198,12 +194,11 @@ def test_predict_batch_on_a_deep_chain():
     assert ens.predict_batch(leave_at_once).tolist() == [1.0, 1.0, 1.0]
     assert ens.predict_batch(to_the_bottom).tolist() == [0.0, 0.0, 0.0]
     # the walk stops at the level where every row sits on a leaf
-    assert _levels_walked(walk, leave_at_once) == 1
-    assert _levels_walked(walk, on_the_way) == depth - 1
-    assert _levels_walked(walk, to_the_bottom) == depth
+    assert _levels_walked(tree, leave_at_once) == 1
+    assert _levels_walked(tree, on_the_way) == depth - 1
+    assert _levels_walked(tree, to_the_bottom) == depth
     perfect = perfect_tree(np.random.default_rng(15), 2, 4)
-    (walk,) = pg.TreeEnsemble(trees=(perfect,), num_features=2).walks
-    assert _levels_walked(walk, np.zeros((5, 2))) == 4
+    assert _levels_walked(perfect, np.zeros((5, 2))) == 4
 
 
 def test_predict_validation():
