@@ -35,7 +35,7 @@ from .perturb import (
     spec_from_config,
 )
 from .ranking import Ranking, greedy_pg2_ranking, ranking_from_attribution, topk_agreement
-from .sampling import EstimatorConfig, pg2_sampled, pg_abs_sampled
+from .sampling import EstimatorConfig, pg2_sampled, pg2_sampled_prefixes, pg_abs_sampled
 
 __all__ = [
     "Dataset",
@@ -65,6 +65,7 @@ __all__ = [
     "pg2_brute_force",
     "pg2_exact",
     "pg2_sampled",
+    "pg2_sampled_prefixes",
     "pg_abs_sampled",
     "pgi2",
     "randomization_rmse",

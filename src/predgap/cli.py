@@ -30,7 +30,7 @@ from .metrics import mean_pgi2, nmae, randomization_rmse
 from .model import TreeEnsemble, load_ensemble, save_ensemble
 from .perturb import PerturbationSpec, spec_from_config
 from .ranking import Ranking, greedy_pg2_ranking, load_attributions, ranking_from_attribution
-from .sampling import EstimatorConfig, pg2_sampled
+from .sampling import EstimatorConfig, pg2_sampled, pg2_sampled_prefixes
 
 
 def format_value(value: float) -> str:
@@ -221,8 +221,9 @@ def _init_bench_worker(payload: dict) -> None:
     _BENCH = payload
 
 
-def _bench_task(task) -> float:
-    """One pair's exact PG2 (``config`` None) or one seeded sampler estimate."""
+def _bench_task(task):
+    """One pair's exact PG2 (``config`` None), its QMC estimate at every grid
+    count (``config`` "qmc"), or one seeded MC estimate."""
     sigma_idx, pair_idx, config, rep = task
     ctx = _BENCH
     pair = ctx["pairs"][pair_idx]
@@ -230,6 +231,8 @@ def _bench_task(task) -> float:
     spec = ctx["specs"][sigma_idx]
     if config is None:
         return pg2_exact(ctx["ensemble"], x, pair.feature_set, spec)
+    if config == "qmc":
+        return pg2_sampled_prefixes(ctx["ensemble"], x, pair.feature_set, spec, ctx["grid"])
     entropy = [ctx["seed"], sigma_idx, config.iterations, rep, pair_idx]
     seed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
     return pg2_sampled(ctx["ensemble"], x, pair.feature_set, spec, replace(config, seed=seed))
@@ -253,16 +256,24 @@ def run_benchmark(
     if not iteration_grid:
         raise ValidationError("iteration grid must be non-empty")
     # Built before any exact value, so a bad method or count fails at once.
-    configs = [EstimatorConfig(method=m, iterations=n) for n in iteration_grid for m in methods]
+    configs = [
+        (k, EstimatorConfig(method=m, iterations=n))
+        for k, n in enumerate(iteration_grid) for m in methods
+    ]
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     if dataset.num_features != ensemble.num_features:
         raise ValidationError(
             f"data has {dataset.num_features} features, model expects {ensemble.num_features}"
         )
     pair_list = sample_pairs(dataset, ensemble.num_features, pairs, seed=seed, sizes=sizes)
     specs = [PerturbationSpec.gaussian(s, ensemble.num_features) for s in sigmas]
-    payload = dict(ensemble=ensemble, dataset=dataset, pairs=pair_list, specs=specs, seed=seed)
+    payload = dict(
+        ensemble=ensemble, dataset=dataset, pairs=pair_list, specs=specs, seed=seed,
+        grid=iteration_grid,
+    )
     # A fork pool starts all its workers at once; more than one per pair idles.
     workers = min(workers, pairs)
     executor = None
@@ -281,7 +292,7 @@ def run_benchmark(
         _init_bench_worker(payload)
 
     def map_pairs(sigma_idx, config=None, rep=0) -> np.ndarray:
-        """One value per pair, in pair order."""
+        """One task result per pair, in pair order."""
         tasks = [(sigma_idx, p, config, rep) for p in range(pairs)]
         if executor is None:
             return np.asarray([_bench_task(t) for t in tasks])
@@ -301,11 +312,22 @@ def run_benchmark(
                     file=sys.stderr,
                 )
                 continue
-            for config in configs:
-                reps = repetitions if config.method == "mc" else 1
+            if "qmc" in methods:
+                # One pass at the largest count; column k holds grid count k.
                 started = time.perf_counter()
-                scores = [nmae(truth, map_pairs(sigma_idx, config, rep)) for rep in range(reps)]
-                sampler_elapsed = time.perf_counter() - started
+                qmc = map_pairs(sigma_idx, "qmc").T
+                qmc_elapsed = time.perf_counter() - started
+            for k, config in configs:
+                if config.method == "qmc":
+                    scores = [nmae(truth, qmc[k])]
+                    sampler_elapsed = qmc_elapsed
+                else:
+                    started = time.perf_counter()
+                    scores = [
+                        nmae(truth, map_pairs(sigma_idx, config, rep))
+                        for rep in range(repetitions)
+                    ]
+                    sampler_elapsed = time.perf_counter() - started
                 entry = {
                     "method": config.method,
                     "iterations": config.iterations,

@@ -111,6 +111,16 @@ def _joint(F_lo_a, F_hi_a, F_lo_b, F_hi_b):
     return p
 
 
+def _cross(blocks):
+    """Sum over tree pairs i < j of y_i' P_ij y_j, one block at a time, from
+    per-tree (y, F_lo, F_hi) triples."""
+    total = 0.0
+    for i, (yi, loi, hii) in enumerate(blocks):
+        for yj, loj, hij in blocks[i + 1:]:
+            total += float(yi @ _joint(loi, hii, loj, hij) @ yj)
+    return total
+
+
 def leaf_pair_probabilities(
     ensemble: TreeEnsemble,
     x,
@@ -161,15 +171,10 @@ def pg2_exact(
     # reaches): cut them into one block per tree.
     bounds = [0, *(np.flatnonzero(np.diff(boxes.tree[alive])) + 1).tolist(), y.size]
     blocks = [(y[a:b], F_lo[:, a:b], F_hi[:, a:b]) for a, b in zip(bounds, bounds[1:])]
-    cross = magnitude = 0.0
-    for i, (yi, loi, hii) in enumerate(blocks):
-        for yj, loj, hij in blocks[i + 1:]:
-            P = _joint(loi, hii, loj, hij)
-            cross += float(yi @ P @ yj)
-            magnitude += float(np.abs(yi) @ P @ np.abs(yj))
-
-    result = diagonal + 2.0 * cross
+    result = diagonal + 2.0 * _cross(blocks)
     if result < 0.0:
+        # The same sum over |y| bounds the round-off; only this case needs it.
+        magnitude = _cross([(np.abs(yb), fl, fh) for yb, fl, fh in blocks])
         slack = 1e-9 * max(diagonal + 2.0 * magnitude, 1e-300)
         if -result <= slack:
             return 0.0

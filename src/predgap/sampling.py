@@ -75,6 +75,26 @@ def pg2_sampled(
     return float(np.mean(gaps * gaps))
 
 
+def pg2_sampled_prefixes(
+    ensemble: TreeEnsemble, x, features, spec: PerturbationSpec, counts
+) -> list[float]:
+    """The QMC ``pg2_sampled`` at each of ``counts`` draws, from one pass.
+
+    Halton restarts at index 1 and each row's prediction stands alone, so the
+    draws for n iterations are the first n of the largest count's draws:
+    entry k equals ``pg2_sampled(..., EstimatorConfig("qmc", counts[k]))``.
+    """
+    configs = [EstimatorConfig("qmc", n) for n in counts]
+    if not configs:
+        raise ValidationError("counts must be non-empty")
+    largest = max(configs, key=lambda c: c.iterations)
+    gaps = _sampled_gaps(ensemble, x, features, spec, largest)
+    if gaps is None:
+        return [0.0] * len(configs)
+    sq = gaps * gaps
+    return [float(np.mean(sq[:c.iterations])) for c in configs]
+
+
 def pg_abs_sampled(
     ensemble: TreeEnsemble, x, features, spec: PerturbationSpec, config: EstimatorConfig
 ) -> float:

@@ -211,3 +211,48 @@ def pg2_pair_oracle(ensemble, x, features, spec) -> float:
             cross += float(y[a] @ P @ y[b])
     result += 2.0 * cross
     return result if result >= 0.0 else 0.0
+
+
+def benchmark_report_oracle(
+    ensemble, dataset, sigmas, iteration_grid, pairs, seed, repetitions=1,
+    methods=("mc", "qmc"), sizes=None,
+) -> dict:
+    """``cli.run_benchmark``'s report built the per-size way, inline: one
+    ``pg2_sampled`` call per pair, grid count and method (and MC repetition),
+    MC seeded from the entropy [seed, sigma index, iterations, repetition,
+    pair index]."""
+    pair_list = pg.sample_pairs(dataset, ensemble.num_features, pairs, seed=seed, sizes=sizes)
+    queries = [(dataset.instance(p.instance_index), p.feature_set) for p in pair_list]
+    entries = []
+    for sigma_idx, sigma in enumerate(sigmas):
+        spec = pg.PerturbationSpec.gaussian(sigma, ensemble.num_features)
+        truth = [pg.pg2_exact(ensemble, x, S, spec) for x, S in queries]
+        if not any(truth):
+            continue
+        for n in iteration_grid:
+            for method in methods:
+                scores = []
+                for rep in range(repetitions if method == "mc" else 1):
+                    estimates = []
+                    for pair_idx, (x, S) in enumerate(queries):
+                        entropy = [seed, sigma_idx, n, rep, pair_idx]
+                        state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)
+                        config = pg.EstimatorConfig(method, n, seed=int(state[0]))
+                        estimates.append(pg.pg2_sampled(ensemble, x, S, spec, config))
+                    scores.append(pg.nmae(truth, estimates))
+                entries.append({
+                    "method": method,
+                    "iterations": n,
+                    "sigma": sigma,
+                    "nmae": float(np.mean(scores)),
+                    "pairs": pairs,
+                })
+    return {
+        "pairs": pairs,
+        "seed": seed,
+        "repetitions": repetitions,
+        "sigmas": sigmas,
+        "iteration_grid": iteration_grid,
+        "methods": list(methods),
+        "entries": entries,
+    }

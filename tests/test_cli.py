@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ import predgap as pg
 from predgap.cli import format_value, main, report_to_json
 from predgap.errors import NumericDomainError, exit_code_for
 
-from support import canonical_ensemble, leaf
+from support import benchmark_report_oracle, canonical_ensemble, leaf, random_ensemble
 
 
 @pytest.fixture
@@ -176,14 +177,19 @@ def test_benchmark_csv_output(workdir):
 def test_benchmark_timing_fields(workdir):
     out = workdir / "timed.json"
     rc = main(
-        ["benchmark", *_model_arg(workdir), "--sigmas", "0.3",
-         "--iteration-grid", "100", "--pairs", "2", "--seed", "1",
+        ["benchmark", *_model_arg(workdir), "--sigmas", "0.3,1.0",
+         "--iteration-grid", "100,300", "--pairs", "2", "--seed", "1",
          "--workers", "1", "--timing", "--out", str(out)]
     )
     assert rc == 0
-    entry = json.loads(out.read_text())["entries"][0]
-    assert entry["wall_time_exact"] > 0.0
-    assert entry["wall_time_sampler"] > 0.0
+    entries = json.loads(out.read_text())["entries"]
+    assert entries[0]["wall_time_exact"] > 0.0
+    assert entries[0]["wall_time_sampler"] > 0.0
+    # every QMC entry of one sigma carries the time of that sigma's one pass
+    for sigma in (0.3, 1.0):
+        qmc = [e for e in entries if e["method"] == "qmc" and e["sigma"] == sigma]
+        assert [e["iterations"] for e in qmc] == [100, 300]
+        assert qmc[0]["wall_time_sampler"] == qmc[1]["wall_time_sampler"] > 0.0
 
 
 def test_benchmark_excludes_all_zero_truth_batch(workdir, capsys):
@@ -247,13 +253,14 @@ def test_benchmark_repetitions_average_mc_only(workdir):
 
 
 def test_benchmark_inline_calls_the_module_globals(monkeypatch):
-    """perfbench traces `pg2 benchmark --workers 1` by rebinding these three cli
-    globals and expects their spans under cli.run_benchmark in the same process;
-    the inline path must also leave no payload behind, even when a task raises."""
+    """perfbench traces `pg2 benchmark --workers 1` by rebinding cli globals by
+    name and expects their spans under cli.run_benchmark in the same process, so
+    every engine call, QMC's shared pass included, goes through one; the inline
+    path must also leave no payload behind, even when a task raises."""
     import predgap.cli as cli_mod
 
     calls = {}
-    for name in ("pg2_exact", "pg2_sampled", "nmae"):
+    for name in ("pg2_exact", "pg2_sampled", "pg2_sampled_prefixes", "nmae"):
         def counted(*a, _real=getattr(cli_mod, name), _name=name, **kw):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*a, **kw)
@@ -264,15 +271,31 @@ def test_benchmark_inline_calls_the_module_globals(monkeypatch):
     run = dict(sigmas=[0.3], iteration_grid=[10], pairs=3, seed=1, workers=1)
     report = cli_mod.run_benchmark(ens, data, **run)
     assert [e["method"] for e in report["entries"]] == ["mc", "qmc"]
-    assert calls == {"pg2_exact": 3, "pg2_sampled": 6, "nmae": 2}
+    # MC makes one call per pair and count; QMC one per pair for every count
+    assert calls == {"pg2_exact": 3, "pg2_sampled": 3, "pg2_sampled_prefixes": 3, "nmae": 2}
     assert cli_mod._BENCH is None
     # a bad sampler configuration raises before any exact value is computed
     with pytest.raises(pg.ValidationError):
         cli_mod.run_benchmark(ens, data, methods=("zz",), **run)
-    with pytest.raises(pg.ValidationError):
-        cli_mod.run_benchmark(ens, data, **{**run, "iteration_grid": [0]})
+    for bad in ({"iteration_grid": [0]}, {"workers": 0}, {"workers": -2}):
+        with pytest.raises(pg.ValidationError):
+            cli_mod.run_benchmark(ens, data, **{**run, **bad})
     assert calls["pg2_exact"] == 3
     assert cli_mod._BENCH is None
+
+
+def test_benchmark_report_equals_the_per_size_oracle():
+    # QMC reads every grid count from one pass per (sigma, pair); the oracle
+    # makes one pg2_sampled call per count, unsorted and repeated counts too.
+    import predgap.cli as cli_mod
+
+    rng = np.random.default_rng(12)
+    ens = random_ensemble(rng, num_features=3, num_trees=4, max_depth=3)
+    data = pg.Dataset(values=rng.normal(size=(6, 3)).tolist(), feature_names=("a", "b", "c"))
+    run = dict(sigmas=[0.3, 1.0], iteration_grid=[300, 20, 300, 1000], pairs=5, seed=4)
+    for workers, repetitions in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        report = cli_mod.run_benchmark(ens, data, workers=workers, repetitions=repetitions, **run)
+        assert report == benchmark_report_oracle(ens, data, repetitions=repetitions, **run)
 
 
 def test_eval_pgi2_matches_library(workdir, capsys):
@@ -430,6 +453,8 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
         ("unused", "", [*_BENCH, "--iteration-grid", "0"]),
         ("unused", "", [*_BENCH, "--methods", "mc,zz"]),
         ("unused", "", [*_BENCH, "--sizes", " "]),
+        ("unused", "", [*_BENCH, "--workers", "0"]),
+        ("unused", "", [*_BENCH, "--workers", "-2"]),
         ("dist.json", '{"kind": "gaussian", "sigma": true}', _DIST),
         ("dist.json", '{"kind": "gaussian", "sigma": "0.3"}', _DIST),
         ("dist.json", '{"kind": "discrete", "points": [[false, true]]}', _DIST),
@@ -443,8 +468,8 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
          "over-long-csv-field", "unwritable-rank-out", "unwritable-benchmark-out",
          "unwritable-benchmark-csv-out", "unwritable-convert-output", "nan-label",
          "inf-label", "header-only-pgi2", "header-only-randomize-rmse", "zero-iterations",
-         "unknown-method", "blank-sizes", "boolean-sigma", "string-sigma",
-         "boolean-discrete-point"],
+         "unknown-method", "blank-sizes", "zero-workers", "negative-workers", "boolean-sigma",
+         "string-sigma", "boolean-discrete-point"],
 )
 def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
     path = workdir / name

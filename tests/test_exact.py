@@ -288,3 +288,33 @@ def test_pg2_exact_reaches_interval_prob(monkeypatch):
     ens = random_ensemble(rng, num_features=3, num_trees=3, max_depth=3)
     pg.pg2_exact(ens, lattice_point(rng, 3), [1], pg.PerturbationSpec.gaussian(1.0, 3))
     assert calls
+
+
+def _cancelling_pair():
+    """Two trees whose values cancel: f is 0 everywhere, so the diagonal and
+    twice the (negative) cross term are equal and opposite."""
+    ens = pg.TreeEnsemble(
+        trees=(depth1_tree(0.0, 0.0, 1.0), depth1_tree(0.0, 0.0, -1.0)), num_features=1
+    )
+    return ens, [-1.0], [0], pg.PerturbationSpec.gaussian(1.0, 1)
+
+
+def _scaled_mass(monkeypatch, factor):
+    from predgap import exact
+
+    real = exact._mass
+    monkeypatch.setattr(exact, "_mass", lambda *a: real(*a) * factor)
+
+
+def test_round_off_negative_gap_is_zero(monkeypatch):
+    # A diagonal short by 1.5e-9 of itself leaves a negative result of about
+    # 3e-9 * P(right), inside the slack 1e-9 * (diagonal + 2 * magnitude) =
+    # 4e-9 * P(right) only because the |y| cross sum is counted in it.
+    _scaled_mass(monkeypatch, 1.0 - 1.5e-9)
+    assert pg.pg2_exact(*_cancelling_pair()) == 0.0
+
+
+def test_negative_gap_beyond_slack_raises(monkeypatch):
+    _scaled_mass(monkeypatch, 0.5)
+    with pytest.raises(pg.NumericDomainError, match="negative"):
+        pg.pg2_exact(*_cancelling_pair())

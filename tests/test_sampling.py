@@ -8,7 +8,15 @@ from predgap import perturb
 from predgap.errors import ValidationError
 from predgap.perturb import _PRIMES
 
-from support import CANONICAL_PG2, canonical_ensemble, lattice_point, leaf, random_ensemble, split
+from support import (
+    CANONICAL_PG2,
+    canonical_ensemble,
+    lattice_point,
+    leaf,
+    random_discrete,
+    random_ensemble,
+    split,
+)
 
 
 def _spec():
@@ -145,3 +153,32 @@ def test_qmc_multifeature_assignment_is_ascending():
     assert np.allclose(X[:, 1], g.inv_cdf_n(U[:, 1]))
     assert np.allclose(X[:, 3], g.inv_cdf_n(U[:, 2]))
     assert np.all(X[:, 2] == 0.0)
+
+
+def test_prefixes_equal_one_qmc_call_per_count():
+    rng = np.random.default_rng(31)
+    d = 4
+    ens = random_ensemble(rng, num_features=d, num_trees=5, max_depth=4)
+    specs = [
+        pg.PerturbationSpec.gaussian(0.7, d),
+        pg.PerturbationSpec(per_feature=(pg.Uniform(0.9),) * d),
+        pg.PerturbationSpec(per_feature=tuple(random_discrete(rng) for _ in range(d))),
+    ]
+    grids = ([100, 7, 2000, 1], [500, 500, 3, 500], [1])
+    for spec in specs:
+        for features in ([], [2], [3, 0, 1]):
+            x = lattice_point(rng, d)
+            for counts in grids:
+                shared = pg.pg2_sampled_prefixes(ens, x, features, spec, counts)
+                assert shared == [
+                    pg.pg2_sampled(ens, x, features, spec, pg.EstimatorConfig("qmc", n))
+                    for n in counts
+                ]
+    assert pg.pg2_sampled_prefixes(ens, x, [], spec, [5, 2]) == [0.0, 0.0]
+
+
+def test_prefixes_validate_counts():
+    ens = canonical_ensemble()
+    for counts in ([], [10, 0], [10, -3], [2.5]):
+        with pytest.raises(ValidationError):
+            pg.pg2_sampled_prefixes(ens, [-1.0], [0], _spec(), counts)
