@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, ValidationError, read_json, read_text, write_text
+from .model import _as_index
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -188,12 +189,14 @@ def sample_pairs(
     as evenly represented as possible; when the count is not divisible the
     earlier sizes in the cycle receive the extras.
     """
+    count, seed = _as_index(count, "pair count"), _as_index(seed, "seed")
     if count < 1:
         raise ValidationError(f"need at least one pair, got {count}")
     if dataset.num_instances < 1:
         raise ValidationError("dataset has no instances")
     if sizes is None:
         sizes = list(range(1, num_features + 1))
+    sizes = [_as_index(k, "subset size") for k in sizes]
     if not sizes:
         raise ValidationError("need at least one subset size")
     for k in sizes:

@@ -75,6 +75,7 @@ def xi_random(
     at the value in ``x``.  The draws come from ``np.random.default_rng(seed)``.
     """
     rng = np.random.default_rng(seed)
+    samples = _as_index(samples, "sample count")
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     if dataset.num_instances < 1:
@@ -111,6 +112,7 @@ def randomization_rmse(
     The deviation is measured against the model's own prediction on the
     untouched instance, or against ``labels`` when given.
     """
+    samples = _as_index(samples, "sample count")
     if dataset.num_instances < 1:
         raise ValidationError("dataset has no instances")
     if len(rankings) != dataset.num_instances:

@@ -260,19 +260,12 @@ def _first_primes(count: int) -> tuple[int, ...]:
 _PRIMES = _first_primes(256)
 
 
-# Column j holds coordinate j of the Halton points 1..len, read-only.  Calls
-# extend a column only by the indices no call has asked for yet, so the
-# cache holds at most the largest count times the largest dim asked for.
-# A call reads and replaces a column through its own local name, so calls
-# from several threads at worst recompute some points.
-_HALTON_COLUMNS: list[np.ndarray] = [np.empty(0)] * len(_PRIMES)
-
-
 def halton_matrix(count: int, dim: int) -> np.ndarray:
     """Unscrambled Halton points in [0, 1)^dim for indices 1..count, one row per index.
 
-    Every call returns a new array, copied from a per-process cache of the
-    points computed so far.
+    Each call builds its points afresh and keeps nothing between calls.
+    Coordinate j is the radical inverse in the j-th prime base, with the
+    same bits as summing the digits' contributions from the lowest digit up.
     """
     count, dim = _as_index(count, "halton count"), _as_index(dim, "halton dimension")
     if count < 1:
@@ -283,22 +276,16 @@ def halton_matrix(count: int, dim: int) -> np.ndarray:
         )
     out = np.empty((count, dim), dtype=np.float64)
     for j in range(dim):
-        column = _HALTON_COLUMNS[j]
-        if column.size < count:
-            # A radical inverse depends only on its own index: the digits
-            # past an index's last one add zero, and every index sees the
-            # same scales.  So the new points are the ones a cold start
-            # would compute.
-            base = _PRIMES[j]
-            work = np.arange(column.size + 1, count + 1, dtype=np.int64)
-            inv = np.zeros(work.size, dtype=np.float64)
-            scale = 1.0 / base
-            while work.any():
-                inv += (work % base) * scale
-                work //= base
-                scale /= base
-            column = np.concatenate((column, inv))
-            column.setflags(write=False)
-            _HALTON_COLUMNS[j] = column
-        out[:, j] = column[:count]
+        base = _PRIMES[j]
+        # inv[i] is the radical inverse of index i.  Level k extends it from
+        # the indices below b^k to those below b^(k+1) by
+        # phi(low + b^k * d) = phi(low) + d * b^-(k+1), the lowest-digit-first
+        # sum's next term, keeping only the digit rows that count + 1 needs.
+        inv = np.zeros(1)
+        scale = 1.0 / base
+        while inv.size <= count:
+            rows = min(base, -(-(count + 1) // inv.size))
+            inv = (inv + np.arange(rows)[:, None] * scale).ravel()
+            scale /= base
+        out[:, j] = inv[1 : count + 1]
     return out

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import FormatError, ValidationError, read_json, read_text
 from .exact import pg2_exact
 from .model import TreeEnsemble, _as_index, as_feature_vector
-from .perturb import PerturbationSpec
+from .perturb import PerturbationSpec, _json_number
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,13 @@ def load_attributions(path) -> np.ndarray:
         rows = read_json(path, "attributions")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise FormatError(f"{path}: expected an array of arrays")
+        number = _json_number  # a bool or a numeric string is not a JSON number
     else:
         text = read_text(path, "attributions")
         rows = [line.split(",") for line in text.splitlines() if line.strip()]
+        number = float
     try:
-        matrix = np.asarray(rows, dtype=np.float64)
+        matrix = np.asarray([[number(v) for v in r] for r in rows], dtype=np.float64)
     except (ValueError, TypeError, OverflowError):
         raise FormatError(f"{path}: rows are ragged or non-numeric") from None
     if matrix.ndim != 2:

@@ -284,6 +284,45 @@ def test_benchmark_inline_calls_the_module_globals(monkeypatch):
     assert cli_mod._BENCH is None
 
 
+@pytest.mark.parametrize(
+    "call, bad",
+    [("run_benchmark", {"pairs": 2.0}), ("run_benchmark", {"repetitions": 1.5}),
+     ("run_benchmark", {"repetitions": True}), ("run_benchmark", {"workers": 1.0}),
+     ("run_benchmark", {"seed": 0.5}), ("sample_pairs", {"count": 2.5}),
+     ("sample_pairs", {"seed": True}), ("sample_pairs", {"sizes": [1, 2.0]}),
+     ("xi_random", {"samples": 2.5}), ("randomization_rmse", {"samples": True})],
+    ids=["float-pairs", "float-repetitions", "boolean-repetitions", "float-workers", "float-seed",
+         "float-count", "boolean-seed", "float-size", "float-samples", "boolean-samples"],
+)
+def test_integer_arguments_raise_before_any_work(monkeypatch, call, bad):
+    import predgap.cli as cli_mod
+
+    exact_calls = []
+
+    def counted(*a, **kw):
+        exact_calls.append(a)
+        return pg.pg2_exact(*a, **kw)
+
+    monkeypatch.setattr(cli_mod, "pg2_exact", counted)
+    ens = canonical_ensemble(num_features=2)
+    data = pg.Dataset(values=[[-1.0, 0.5], [0.5, -0.3]], feature_names=("a", "b"))
+    fn, kwargs = {
+        "run_benchmark": (cli_mod.run_benchmark, dict(
+            ensemble=ens, dataset=data, sigmas=[0.3], iteration_grid=[10], pairs=2, seed=1)),
+        "sample_pairs": (pg.sample_pairs, dict(
+            dataset=data, num_features=2, count=2, seed=0, sizes=[1, 2])),
+        "xi_random": (pg.xi_random, dict(
+            ensemble=ens, x=[0.0, 0.0], keep=[1], dataset=data, samples=3)),
+        "randomization_rmse": (pg.randomization_rmse, dict(
+            ensemble=ens, dataset=data, rankings=[pg.Ranking((0, 1))] * 2, k=1, samples=3)),
+    }[call]
+    fn(**kwargs)
+    exact_calls.clear()
+    with pytest.raises(pg.ValidationError, match="must be an integer"):
+        fn(**{**kwargs, **bad})
+    assert exact_calls == []
+
+
 def test_benchmark_report_equals_the_per_size_oracle():
     # QMC reads every grid count from one pass per (sigma, pair); the oracle
     # makes one pg2_sampled call per count, unsorted and repeated counts too.
@@ -458,6 +497,8 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
         ("dist.json", '{"kind": "gaussian", "sigma": true}', _DIST),
         ("dist.json", '{"kind": "gaussian", "sigma": "0.3"}', _DIST),
         ("dist.json", '{"kind": "discrete", "points": [[false, true]]}', _DIST),
+        ("attributions.json", "[[true, 0.5]%s]" % (", [0.1, 1]" * 3), _ATTRIBUTIONS),
+        ("attributions.json", '[["2.5", 1]%s]' % (", [0.1, 1]" * 3), _ATTRIBUTIONS),
     ],
     ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
          "one-element-point", "huge-leaf-value", "over-long-integer", "huge-xgboost-leaf",
@@ -469,7 +510,8 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
          "unwritable-benchmark-csv-out", "unwritable-convert-output", "nan-label",
          "inf-label", "header-only-pgi2", "header-only-randomize-rmse", "zero-iterations",
          "unknown-method", "blank-sizes", "zero-workers", "negative-workers", "boolean-sigma",
-         "string-sigma", "boolean-discrete-point"],
+         "string-sigma", "boolean-discrete-point", "boolean-attribution",
+         "string-attribution"],
 )
 def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
     path = workdir / name

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import predgap as pg
-from predgap import perturb
 from predgap.errors import ValidationError
 from predgap.perturb import _PRIMES
 
@@ -183,9 +182,8 @@ def test_halton_matrix_matches_points():
         assert tuple(M[i]) == pytest.approx(halton_point(i + 1, 3))
 
 
-def test_halton_cache_in_any_call_order(monkeypatch):
-    monkeypatch.setattr(perturb, "_HALTON_COLUMNS", [np.empty(0)] * len(_PRIMES))
-    # grow, shrink, raise dim, lower dim, then grow past every column
+def test_halton_matrix_in_any_call_order():
+    # grow, shrink, raise dim, lower dim, then grow past every earlier count
     calls = ((5, 2), (40, 3), (12, 1), (40, 6), (3, 4), (90, 2), (1, 7), (100, 3))
     for count, dim in calls:
         M = pg.halton_matrix(count, dim)
@@ -193,11 +191,21 @@ def test_halton_cache_in_any_call_order(monkeypatch):
         assert [tuple(row) for row in M.tolist()] == [
             halton_point(i, dim) for i in range(1, count + 1)
         ]
-        M[:] = -1.0  # a caller's writes stay in its own copy
-    # each column holds the points up to the largest count asked of it
-    sizes = [max(count for count, dim in calls if dim > j) for j in range(7)]
-    assert [perturb._HALTON_COLUMNS[j].size for j in range(8)] == sizes + [0]
-    assert not perturb._HALTON_COLUMNS[0].flags.writeable
+        M[:] = -1.0  # a caller's writes stay in its own array
+
+
+def test_halton_matrix_at_level_boundaries():
+    # count b^k - 1 ends a level, b^k fills it and b^k + 1 starts the next.
+    # The 256th coordinate uses the prime 1619, and 1620 points pass b^2 for
+    # every base up to 37.
+    n = 1620
+    assert _PRIMES[255] == 1619
+    oracle = np.array([halton_point(i, 256) for i in range(1, n + 1)])
+    counts = {n, 1618, 1619} | {
+        c for b in (2, 3, 5) for k in range(1, 11) if b**k < n for c in (b**k - 1, b**k, b**k + 1)
+    }
+    for count in sorted(counts):
+        assert np.array_equal(pg.halton_matrix(count, 256), oracle[:count]), count
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 6])

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 import predgap as pg
-from predgap import perturb
 from predgap.errors import ValidationError
-from predgap.perturb import _PRIMES
 
 from support import (
     CANONICAL_PG2,
@@ -112,20 +110,6 @@ def test_deterministic_given_config():
     q1 = pg.pg2_sampled(ens, [-1.0], [0], _spec(), pg.EstimatorConfig("qmc", 512, seed=1))
     q2 = pg.pg2_sampled(ens, [-1.0], [0], _spec(), pg.EstimatorConfig("qmc", 512, seed=2))
     assert q1 == q2
-
-
-def test_qmc_same_with_a_cold_and_a_warm_halton_cache(monkeypatch):
-    rng = np.random.default_rng(16)
-    ens = random_ensemble(rng, num_features=4, num_trees=4, max_depth=4)
-    x = lattice_point(rng, 4)
-    spec = pg.PerturbationSpec.gaussian(0.7, 4)
-    config = pg.EstimatorConfig("qmc", 3000)
-    monkeypatch.setattr(perturb, "_HALTON_COLUMNS", [np.empty(0)] * len(_PRIMES))
-    cold = pg.pg2_sampled(ens, x, [0, 2, 3], spec, config)
-    warm = pg.pg2_sampled(ens, x, [0, 2, 3], spec, config)
-    pg.halton_matrix(5000, 4)
-    warmer = pg.pg2_sampled(ens, x, [0, 2, 3], spec, config)
-    assert cold == warm == warmer
 
 
 def test_config_validation():
