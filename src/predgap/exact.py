@@ -28,45 +28,123 @@ min/max of those values.  The work is 2 |S| A CDF evaluations for A alive
 leaves plus |S| * sum_{i<j} A_i A_j min/max/subtract for A_i alive leaves
 in tree i; the diagonal takes |S| ``interval_prob`` array calls; memory is
 one block.
+
+``leaf_pair_probabilities`` builds the whole of P instead: one outer
+min/max over all alive leaves, scattered into a dense (L, L) array.  Its
+``LeafPairTable`` holds that array and the leaves' (tree, node) keys; the
+dict-like ``leaf_prob``/``pair_prob`` views and the per-tree sums read the
+array, so the table costs L^2 floats and no Python object per pair.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from itertools import product
 
 import numpy as np
 
 from .errors import NumericDomainError, ValidationError
-from .model import TreeEnsemble, _as_index, as_feature_vector
+from .model import TreeEnsemble, _as_index, _lock, as_feature_vector
 from .perturb import Discrete, PerturbationSpec
 
 
-@dataclass
+class _Probabilities(Mapping):
+    """A read-only mapping view of a flat probability array.
+
+    Keys are the leaf keys ``leaves`` (``pairs=False``) or every ordered pair
+    of them, row-major (``pairs=True``); the i-th key maps to ``flat[i]``.
+    """
+
+    def __init__(self, leaves: list, flat: np.ndarray, pairs: bool):
+        self._leaves, self._flat, self._pairs = leaves, flat, pairs
+        self._index = {leaf: u for u, leaf in enumerate(leaves)}
+
+    def __getitem__(self, key) -> float:
+        try:
+            if not self._pairs:
+                return self._flat.item(self._index[key])
+            u, v = key
+            return self._flat.item(self._index[u] * len(self._leaves) + self._index[v])
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return product(self._leaves, repeat=2) if self._pairs else iter(self._leaves)
+
+    def __len__(self) -> int:
+        return self._flat.size
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._flat.tolist())
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._flat.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class LeafPairTable:
     """Activation probabilities for every leaf and every ordered leaf pair.
 
-    Leaves are keyed by (tree index, node index).  The pair table covers all
-    ordered pairs, including same-tree pairs (zero unless u == v) and the
-    diagonal, whose entries equal the single-leaf probabilities.
+    ``P`` is the dense (L, L) matrix, rows and columns in ``leaf_boxes``
+    order: ``P[u, v]`` is Pr[leaves u and v both fire], so its diagonal holds
+    the single-leaf probabilities and a same-tree entry off the diagonal is
+    0.  Leaf u is node ``node[u]`` of tree ``tree[u]`` (the ``leaf_boxes``
+    arrays, shared).  The table costs L^2 floats and no Python object per
+    pair; ``leaf_prob`` and ``pair_prob`` are read-only mapping views of it
+    keyed by (tree, node) and by pairs of those.  ``P``, ``tree`` and
+    ``node`` are read-only, also after pickling and copying.
     """
 
-    leaf_prob: dict[tuple[int, int], float]
-    pair_prob: dict[tuple[tuple[int, int], tuple[int, int]], float]
+    P: np.ndarray  # (L, L)
+    tree: np.ndarray  # (L,) tree index
+    node: np.ndarray  # (L,) node index within the tree
     num_trees: int
 
+    def __post_init__(self) -> None:
+        _lock(self, vars(self))
+
+    def __setstate__(self, state) -> None:
+        _lock(self, state)
+
+    def _leaves(self) -> list[tuple[int, int]]:
+        return list(zip(self.tree.tolist(), self.node.tolist()))
+
+    @property
+    def leaf_prob(self) -> Mapping[tuple[int, int], float]:
+        """Pr[leaf fires], keyed by (tree, node), in leaf-box order."""
+        return _Probabilities(self._leaves(), np.diagonal(self.P), pairs=False)
+
+    @property
+    def pair_prob(self) -> Mapping[tuple[tuple[int, int], tuple[int, int]], float]:
+        """Pr[both leaves fire] for every ordered pair of leaf keys, row-major."""
+        return _Probabilities(self._leaves(), self.P.reshape(-1), pairs=True)
+
     def tree_probability_sums(self) -> list[float]:
-        sums = [0.0] * self.num_trees
-        for (ti, _), p in self.leaf_prob.items():
-            sums[ti] += p
-        return sums
+        """Sum of the leaf probabilities of each tree, in tree order."""
+        return np.bincount(self.tree, weights=np.diagonal(self.P), minlength=self.num_trees).tolist()
 
     def cross_tree_pair_sums(self) -> dict[tuple[int, int], float]:
-        sums: dict[tuple[int, int], float] = {}
-        for ((ti, _), (tj, _)), p in self.pair_prob.items():
-            if ti != tj:
-                sums[(ti, tj)] = sums.get((ti, tj), 0.0) + p
-        return sums
+        """Sum of P over each block of two different trees, keyed (i, j)
+        row-major."""
+        starts = np.searchsorted(self.tree, np.arange(self.num_trees))
+        sums = np.add.reduceat(np.add.reduceat(self.P, starts, axis=0), starts, axis=1)
+        return {
+            (i, j): p
+            for i, row in enumerate(sums.tolist())
+            for j, p in enumerate(row)
+            if i != j
+        }
 
 
 def _check_query(ensemble, x, features, spec):
@@ -133,12 +211,7 @@ def leaf_pair_probabilities(
     _, alive, _, _, F_lo, F_hi = _alive(boxes, vec, feats, dists)
     P = np.zeros((boxes.value.size, boxes.value.size))
     P[np.ix_(alive, alive)] = _joint(F_lo, F_hi, F_lo, F_hi)
-    keys = list(zip(boxes.tree.tolist(), boxes.node.tolist()))
-    return LeafPairTable(
-        leaf_prob=dict(zip(keys, np.diag(P).tolist())),
-        pair_prob={(u, v): p for u, row in zip(keys, P.tolist()) for v, p in zip(keys, row)},
-        num_trees=len(ensemble.trees),
-    )
+    return LeafPairTable(P=P, tree=boxes.tree, node=boxes.node, num_trees=len(ensemble.trees))
 
 
 def pg2_exact(
@@ -214,7 +287,7 @@ def pg2_brute_force(
     c = ensemble.predict(vec)
     X = np.tile(vec, (total, 1))
     weights = np.ones(total, dtype=np.float64)
-    for combo_index, combo in enumerate(_cartesian(*(d.points for d in dists))):
+    for combo_index, combo in enumerate(product(*(d.points for d in dists))):
         for (offset, prob), q in zip(combo, feats):
             X[combo_index, q] += offset
             weights[combo_index] *= prob

@@ -1,6 +1,9 @@
 """The exact squared-gap engine against hand derivations and the enumerator."""
 
 import json
+import pickle
+import tracemalloc
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +52,55 @@ def test_depth1_no_perturbation_is_pure_indicator():
     table = pg.leaf_pair_probabilities(ens, [-1.0], [], spec)
     assert table.leaf_prob[(0, 1)] == 1.0
     assert table.leaf_prob[(0, 2)] == 0.0
+
+
+def test_table_views_are_read_only_mappings():
+    rng = np.random.default_rng(9)
+    ens = random_ensemble(rng, num_features=3, num_trees=3, max_depth=3)
+    spec = pg.PerturbationSpec.gaussian(1.0, 3)
+    table = pg.leaf_pair_probabilities(ens, lattice_point(rng, 3), [0, 2], spec)
+    boxes = ens.leaf_boxes
+    L = boxes.value.size
+    leaves = list(zip(boxes.tree.tolist(), boxes.node.tolist()))
+    leaf_dict = dict(zip(leaves, np.diag(table.P).tolist()))
+    pair_dict = {(u, v): table.P[a, b] for a, u in enumerate(leaves) for b, v in enumerate(leaves)}
+    assert len(table.leaf_prob) == L and len(table.pair_prob) == L * L
+    assert table.leaf_prob == leaf_dict and table.pair_prob == pair_dict
+    assert list(table.pair_prob.items()) == list(pair_dict.items())
+    for view, key in ((table.leaf_prob, leaves[0]), (table.pair_prob, (leaves[0], leaves[-1]))):
+        values = view.values()
+        assert list(values) == list(values)
+        with pytest.raises(TypeError):
+            view[key] = 0.5
+        for unknown in ((len(ens.trees), 0), (0, -1), (leaves[0], (9, 9)), (leaves[0],), 7):
+            with pytest.raises(KeyError):
+                view[unknown]
+            assert unknown not in view
+    for copy in (table, pickle.loads(pickle.dumps(table)), deepcopy(table)):
+        assert copy.leaf_prob == leaf_dict
+        for name in ("P", "tree", "node"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(copy, name)[0] = 1
+
+
+def test_table_memory_is_a_few_dense_matrices():
+    # 16 perfect depth-5 trees, L = 512: the dense table is 8 L^2 bytes; a
+    # dict entry per leaf pair costs about 17 times that.
+    rng = np.random.default_rng(3)
+    d = 8
+    ens = pg.TreeEnsemble(trees=tuple(perfect_tree(rng, d, 5) for _ in range(16)), num_features=d)
+    L = ens.leaf_boxes.value.size
+    assert L == 512
+    spec = pg.PerturbationSpec.gaussian(0.3, d)
+    x = rng.normal(size=d)
+    tracemalloc.start()
+    try:
+        table = pg.leaf_pair_probabilities(ens, x, (0, 2, 5, 7), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * L * L
+    assert np.count_nonzero(table.P) > L
 
 
 def test_pg2_exact_canonical_value():
@@ -262,6 +314,13 @@ def test_engine_equals_the_per_pair_formula_bit_for_bit():
         assert list(table.pair_prob.values()) == P.ravel().tolist(), n
         assert list(table.leaf_prob.values()) == np.diag(P).tolist(), n
         boxes = ens.leaf_boxes
+        T = len(ens.trees)
+        tree_sums = [np.diag(P)[boxes.tree == i].sum() for i in range(T)]
+        assert np.allclose(table.tree_probability_sums(), tree_sums, rtol=0.0, atol=1e-12), n
+        cross = table.cross_tree_pair_sums()
+        assert list(cross) == [(i, j) for i in range(T) for j in range(T) if i != j], n
+        for (i, j), s in cross.items():
+            assert abs(s - P[np.ix_(boxes.tree == i, boxes.tree == j)].sum()) <= 1e-12, n
         for q in S:
             ends = np.concatenate((boxes.lo[:, q], boxes.hi[:, q])) - x[q]
             dist = spec.per_feature[q]
