@@ -257,6 +257,10 @@ def run_benchmark(
     repetitions, workers = _as_index(repetitions, "repetitions"), _as_index(workers, "workers")
     if not iteration_grid:
         raise ValidationError("iteration grid must be non-empty")
+    if not sigmas:
+        raise ValidationError("sigmas must be non-empty")
+    if not methods:
+        raise ValidationError("methods must be non-empty")
     # Built before any exact value, so a bad method or count fails at once.
     configs = [
         (k, EstimatorConfig(method=m, iterations=n))

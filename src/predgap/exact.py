@@ -24,9 +24,13 @@ where P_ij is the block of P between the alive leaves of trees i and j.
 bit for bit ``interval_prob`` on the intersected ends, since F(min(a, b)) =
 min(F(a), F(b)) and F(max(a, b)) = max(F(a), F(b)).  F is evaluated once
 per alive leaf end, and blocks are built one tree pair at a time from outer
-min/max of those values.  The work is 2 |S| A CDF evaluations for A alive
-leaves plus |S| * sum_{i<j} A_i A_j min/max/subtract for A_i alive leaves
-in tree i; the diagonal takes |S| ``interval_prob`` array calls; memory is
+min/max of those values.  A tree is *live* when one of its alive leaves has
+y != 0; every block of any other tree adds exactly 0.0, so only pairs of
+live trees get one.  The work is 2 |S| A CDF evaluations for A alive leaves
+plus |S| * sum_{i<j} A_i A_j min/max/subtract over live trees i, j with A_i
+alive leaves.  The CDFs take one ``cdf_below`` array call, and the diagonal
+one ``interval_prob`` array call, per distinct distribution object among the
+perturbed features (``PerturbationSpec.same`` gives them all one); memory is
 one block.
 
 ``leaf_pair_probabilities`` builds the whole of P instead: one outer
@@ -168,16 +172,32 @@ def _alive(boxes, vec, feats, dists):
     holds = boxes.holds(vec)
     alive = np.flatnonzero(holds[:, fixed].all(axis=1))
     ends = (np.stack((boxes.lo[alive], boxes.hi[alive]))[..., feats] - vec[feats]).transpose(2, 0, 1)
-    F = np.array([dist.cdf_below(e) for dist, e in zip(dists, ends)]).reshape(ends.shape)
+    F = np.empty(ends.shape)
+    for dist, ks in _by_distribution(dists):
+        F[ks] = dist.cdf_below(ends[ks])
     return holds, alive, ends[:, 0], ends[:, 1], F[:, 0], F[:, 1]
 
 
+def _by_distribution(dists):
+    """(distribution, positions in ``dists``) for each distinct object.
+
+    Grouping is by identity, so one call covers every feature that shares a
+    distribution object (``PerturbationSpec.same`` repeats one); the calls
+    work elementwise, so each value is the one a per-feature call gives.
+    """
+    groups = {}
+    for k, dist in enumerate(dists):
+        groups.setdefault(id(dist), (dist, []))[1].append(k)
+    return groups.values()
+
+
 def _mass(dists, lo, hi):
-    """Elementwise product over k of ``dists[k].interval_prob(lo[k], hi[k])``."""
-    p = 1.0
-    for dist, a, b in zip(dists, lo, hi):
-        p = p * dist.interval_prob(a, b)
-    return p
+    """Elementwise product over k of ``dists[k].interval_prob(lo[k], hi[k])``,
+    multiplied in k order."""
+    p = np.empty(lo.shape)
+    for dist, ks in _by_distribution(dists):
+        p[ks] = dist.interval_prob(lo[ks], hi[ks])
+    return np.multiply.reduce(p, axis=0)
 
 
 def _joint(F_lo_a, F_hi_a, F_lo_b, F_hi_b):
@@ -241,9 +261,13 @@ def pg2_exact(
     diagonal = float(y * y @ _mass(dists, lo, hi))
 
     # Alive leaves run tree by tree, and every tree has one (the leaf x
-    # reaches): cut them into one block per tree.
+    # reaches): cut them into one block per tree.  A tree whose alive leaves
+    # all have y = 0 adds exactly 0.0 to every pair sum, so only trees with
+    # some y != 0 get a block.
     bounds = [0, *(np.flatnonzero(np.diff(boxes.tree[alive])) + 1).tolist(), y.size]
-    blocks = [(y[a:b], F_lo[:, a:b], F_hi[:, a:b]) for a, b in zip(bounds, bounds[1:])]
+    blocks = [
+        (y[a:b], F_lo[:, a:b], F_hi[:, a:b]) for a, b in zip(bounds, bounds[1:]) if y[a:b].any()
+    ]
     result = diagonal + 2.0 * _cross(blocks)
     if result < 0.0:
         # The same sum over |y| bounds the round-off; only this case needs it.

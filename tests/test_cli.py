@@ -277,7 +277,10 @@ def test_benchmark_inline_calls_the_module_globals(monkeypatch):
     # a bad sampler configuration raises before any exact value is computed
     with pytest.raises(pg.ValidationError):
         cli_mod.run_benchmark(ens, data, methods=("zz",), **run)
-    for bad in ({"iteration_grid": [0]}, {"workers": 0}, {"workers": -2}):
+    # an empty grid, sigma list or method list would make a report with no
+    # entries, so each raises before any exact value too
+    for bad in ({"iteration_grid": [0]}, {"iteration_grid": []}, {"sigmas": []},
+                {"methods": ()}, {"workers": 0}, {"workers": -2}):
         with pytest.raises(pg.ValidationError):
             cli_mod.run_benchmark(ens, data, **{**run, **bad})
     assert calls["pg2_exact"] == 3

@@ -377,3 +377,110 @@ def test_negative_gap_beyond_slack_raises(monkeypatch):
     _scaled_mass(monkeypatch, 0.5)
     with pytest.raises(pg.NumericDomainError, match="negative"):
         pg.pg2_exact(*_cancelling_pair())
+
+
+def _live_trees(ensemble, x, S):
+    """Trees with an alive leaf whose value differs from the one x reaches:
+    the only trees whose pair blocks can add anything but 0.0."""
+    fixed = [q for q in range(ensemble.num_features) if q not in S]
+    live = 0
+    for tree in ensemble.trees:
+        one = pg.TreeEnsemble((tree,), ensemble.num_features)
+        boxes = one.leaf_boxes
+        alive = ((boxes.lo[:, fixed] <= x[fixed]) & (x[fixed] < boxes.hi[:, fixed])).all(axis=1)
+        live += bool((boxes.value[alive] != one.predict_batch(x[None, :])[0]).any())
+    return live
+
+
+def test_pair_loop_builds_blocks_for_live_trees_only(monkeypatch):
+    # Trees 1 and 4 split only on features 2 and 3 and tree 3 is one leaf:
+    # under S = {0, 1} none of them can change its value, while trees 0, 2
+    # and 5 split on S at the root.  Other S and x leave more trees dead.
+    from predgap import exact
+
+    trees = (
+        split(0, 0.0, leaf(1.0), leaf(2.0)),
+        split(2, 0.0, leaf(1.0), split(3, 1.0, leaf(4.0), leaf(-2.0))),
+        split(1, 0.5, leaf(-1.0), split(0, -0.5, leaf(3.0), leaf(0.5))),
+        leaf(7.0),
+        split(3, -1.0, leaf(0.25), leaf(0.75)),
+        split(1, -0.5, split(0, 0.5, leaf(0.0), leaf(1.5)), leaf(-0.5)),
+    )
+    ens = pg.TreeEnsemble(trees=tuple(pg.Tree(t) for t in trees), num_features=4)
+    calls = []
+    real = exact._joint
+
+    def counting(*blocks):
+        calls.append(1)
+        return real(*blocks)
+
+    monkeypatch.setattr(exact, "_joint", counting)
+    rng = np.random.default_rng(15)
+    seen = set()
+    for n in range(60):
+        x = lattice_point(rng, 4)
+        S = (0, 1) if n % 3 == 0 else tuple(
+            sorted(int(q) for q in rng.choice(4, size=int(rng.integers(1, 5)), replace=False))
+        )
+        spec = pg.PerturbationSpec(per_feature=tuple(_noise(rng) for _ in range(4)))
+        live = _live_trees(ens, x, S)
+        if S == (0, 1):
+            assert live == 3, n
+        seen.add(live)
+        calls.clear()
+        got = pg.pg2_exact(ens, x, S, spec)
+        assert len(calls) == live * (live - 1) // 2, n
+        assert got == pg2_pair_oracle(ens, x, S, spec), n
+    assert {1, 3} <= seen, seen
+
+
+def _count_distribution_calls(monkeypatch):
+    """Count each ``cdf_below`` and ``interval_prob`` call made from outside
+    the distributions; the ``cdf_below`` calls inside ``interval_prob`` are
+    not counted."""
+    calls = {"cdf_below": 0, "interval_prob": 0}
+    inside = []
+
+    def counting(cls, name):
+        real = cls.__dict__[name]
+
+        def wrapper(self, *args):
+            calls[name] += not inside
+            inside.append(name)
+            try:
+                return real(self, *args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(pg.Distribution, "cdf_below")
+    counting(pg.Discrete, "cdf_below")
+    counting(pg.Distribution, "interval_prob")
+    return calls
+
+
+def test_one_cdf_call_per_distinct_distribution(monkeypatch):
+    # One Gaussian object on features 0, 2 and 5, and an equal but distinct
+    # Gaussian on feature 4: the engine calls each distribution object once
+    # for all the features it covers, and gives the per-feature values.
+    rng = np.random.default_rng(23)
+    shared = pg.Gaussian(0.7)
+    per_feature = (shared, pg.Uniform(1.0), shared, random_discrete(rng), pg.Gaussian(0.7), shared)
+    spec = pg.PerturbationSpec(per_feature=per_feature)
+    d = len(per_feature)
+    calls = _count_distribution_calls(monkeypatch)
+    for n in range(3):
+        ens = random_ensemble(rng, d, num_trees=4, max_depth=3)
+        for mask in range(1, 2**d):
+            S = [q for q in range(d) if mask >> q & 1]
+            x = lattice_point(rng, d)
+            distinct = len({id(per_feature[q]) for q in S})
+            calls.update(cdf_below=0, interval_prob=0)
+            got = pg.pg2_exact(ens, x, S, spec)
+            assert calls == {"cdf_below": distinct, "interval_prob": distinct}, (n, S)
+            calls.update(cdf_below=0, interval_prob=0)
+            table = pg.leaf_pair_probabilities(ens, x, S, spec)
+            assert calls == {"cdf_below": distinct, "interval_prob": 0}, (n, S)
+            assert got == pg2_pair_oracle(ens, x, S, spec), (n, S)
+            assert table.P.tolist() == pair_table_oracle(ens, x, S, spec).tolist(), (n, S)
