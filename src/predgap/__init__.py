@@ -9,7 +9,7 @@ with the evaluation tooling around them.
 
 __version__ = "0.1.0"
 
-from .data import Dataset, PairSample, load_csv, sample_pairs, split, standardize
+from .data import Dataset, PairSample, load_csv, sample_pairs
 from .errors import FormatError, NumericDomainError, PredgapError, ValidationError
 from .exact import (
     LeafPairTable,
@@ -35,7 +35,7 @@ from .perturb import (
     spec_from_config,
 )
 from .ranking import Ranking, greedy_pg2_ranking, ranking_from_attribution, topk_agreement
-from .sampling import EstimatorConfig, pg2_sampled, pg2_sampled_prefixes, pg_abs_sampled
+from .sampling import EstimatorConfig, pg2_sampled, pg2_sampled_prefixes
 
 __all__ = [
     "Dataset",
@@ -66,15 +66,12 @@ __all__ = [
     "pg2_exact",
     "pg2_sampled",
     "pg2_sampled_prefixes",
-    "pg_abs_sampled",
     "pgi2",
     "randomization_rmse",
     "ranking_from_attribution",
     "sample_pairs",
     "save_ensemble",
     "spec_from_config",
-    "split",
-    "standardize",
     "topk_agreement",
     "xi_random",
 ]

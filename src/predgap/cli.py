@@ -27,7 +27,7 @@ from .errors import (
 )
 from .exact import pg2_exact
 from .metrics import mean_pgi2, nmae, randomization_rmse
-from .model import TreeEnsemble, _as_index, load_ensemble, save_ensemble
+from .model import TreeEnsemble, _as_index, _as_seed, load_ensemble, save_ensemble
 from .perturb import PerturbationSpec, spec_from_config
 from .ranking import Ranking, greedy_pg2_ranking, load_attributions, ranking_from_attribution
 from .sampling import EstimatorConfig, pg2_sampled, pg2_sampled_prefixes
@@ -253,7 +253,7 @@ def run_benchmark(
 ) -> dict:
     """NMAE of each sampler against the exact algorithm over random pairs."""
     global _BENCH
-    pairs, seed = _as_index(pairs, "pair count"), _as_index(seed, "seed")
+    pairs, seed = _as_index(pairs, "pair count"), _as_seed(seed)
     repetitions, workers = _as_index(repetitions, "repetitions"), _as_index(workers, "workers")
     if not iteration_grid:
         raise ValidationError("iteration grid must be non-empty")

@@ -1,20 +1,15 @@
-"""Dataset ingestion, standardization, splitting, and benchmark pair sampling."""
+"""Dataset ingestion and benchmark pair sampling."""
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-import numbers
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, read_json, read_text, write_text
-from .model import _as_index
-
-_FLOAT_MAX = sys.float_info.max
+from .errors import FormatError, ValidationError, read_text
+from .model import _as_index, _as_seed
 
 
 @dataclass(frozen=True)
@@ -23,7 +18,6 @@ class Dataset:
 
     values: np.ndarray
     feature_names: tuple[str, ...]
-    standardized: bool = False
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -108,74 +102,6 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
     return dataset, labels
 
 
-def standardize(dataset: Dataset, params: dict | None = None):
-    """Shift and scale each column to zero mean and unit standard deviation.
-
-    Uses the population (divide-by-N) standard deviation.  When ``params``
-    is given it is applied as-is, which is how test data gets the training
-    split's statistics.  Returns ``(dataset, params)``.
-    """
-    if params is None:
-        means = dataset.values.mean(axis=0)
-        stds = dataset.values.std(axis=0)
-        for j, s in enumerate(stds):
-            if s <= 0.0:
-                raise ValidationError(
-                    f"column {dataset.feature_names[j]!r} is constant; cannot standardize"
-                )
-        params = {
-            name: {"mean": float(m), "std": float(s)}
-            for name, m, s in zip(dataset.feature_names, means, stds)
-        }
-    else:
-        means, stds = _column_stats(params, dataset.feature_names)
-    values = (dataset.values - means) / stds
-    return replace(dataset, values=values, standardized=True), params
-
-
-def _column_stats(params: dict, names) -> tuple[np.ndarray, np.ndarray]:
-    """The mean and std that standardization params give each named column."""
-    stats = np.empty((2, len(names)))
-    for j, name in enumerate(names):
-        if name not in params:
-            raise ValidationError(f"standardization params missing column {name!r}")
-        entry = params[name]
-        for i, key in enumerate(("mean", "std")):
-            v = entry.get(key) if isinstance(entry, dict) else None
-            # An exact comparison, so an int past the float range fails too.
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= _FLOAT_MAX:
-                raise ValidationError(f"column {name!r}: {key} must be a finite number")
-            stats[i, j] = v
-        if stats[1, j] <= 0.0:
-            raise ValidationError(f"column {name!r} has non-positive std in params")
-    return stats[0], stats[1]
-
-
-def save_standardization(params: dict, path) -> None:
-    write_text(path, json.dumps(params, indent=1) + "\n")
-
-
-def load_standardization(path) -> dict:
-    obj = read_json(path, "standardization sidecar")
-    if not isinstance(obj, dict):
-        raise FormatError(f"{path}: expected an object of per-column statistics")
-    return obj
-
-
-def split(dataset: Dataset, ratio: float = 0.8, seed: int = 0):
-    """Deterministic shuffled train/test split; returns ``(train, test)``."""
-    if not 0.0 < ratio < 1.0:
-        raise ValidationError(f"split ratio must be in (0, 1), got {ratio}")
-    n = dataset.num_instances
-    n_train = int(n * ratio)
-    if n_train < 1 or n_train >= n:
-        raise ValidationError(f"ratio {ratio} gives a degenerate split of {n} rows")
-    order = np.random.default_rng(seed).permutation(n)
-    train = replace(dataset, values=dataset.values[order[:n_train]].copy())
-    test = replace(dataset, values=dataset.values[order[n_train:]].copy())
-    return train, test
-
-
 def sample_pairs(
     dataset: Dataset,
     num_features: int,
@@ -189,7 +115,7 @@ def sample_pairs(
     as evenly represented as possible; when the count is not divisible the
     earlier sizes in the cycle receive the extras.
     """
-    count, seed = _as_index(count, "pair count"), _as_index(seed, "seed")
+    count, seed = _as_index(count, "pair count"), _as_seed(seed)
     if count < 1:
         raise ValidationError(f"need at least one pair, got {count}")
     if dataset.num_instances < 1:

@@ -36,8 +36,8 @@ one block.
 ``leaf_pair_probabilities`` builds the whole of P instead: one outer
 min/max over all alive leaves, scattered into a dense (L, L) array.  Its
 ``LeafPairTable`` holds that array and the leaves' (tree, node) keys; the
-dict-like ``leaf_prob``/``pair_prob`` views and the per-tree sums read the
-array, so the table costs L^2 floats and no Python object per pair.
+dict-like ``pair_prob`` view and the per-tree sums read the array, so the
+table costs L^2 floats and no Python object per pair.
 """
 
 from __future__ import annotations
@@ -54,27 +54,23 @@ from .perturb import Discrete, PerturbationSpec
 
 
 class _Probabilities(Mapping):
-    """A read-only mapping view of a flat probability array.
+    """A read-only mapping view of a flat probability array: keys are every
+    ordered pair of the leaf keys ``leaves``, row-major, and the i-th key
+    maps to ``flat[i]``."""
 
-    Keys are the leaf keys ``leaves`` (``pairs=False``) or every ordered pair
-    of them, row-major (``pairs=True``); the i-th key maps to ``flat[i]``.
-    """
-
-    def __init__(self, leaves: list, flat: np.ndarray, pairs: bool):
-        self._leaves, self._flat, self._pairs = leaves, flat, pairs
+    def __init__(self, leaves: list, flat: np.ndarray):
+        self._leaves, self._flat = leaves, flat
         self._index = {leaf: u for u, leaf in enumerate(leaves)}
 
     def __getitem__(self, key) -> float:
         try:
-            if not self._pairs:
-                return self._flat.item(self._index[key])
             u, v = key
             return self._flat.item(self._index[u] * len(self._leaves) + self._index[v])
         except (KeyError, TypeError, ValueError):
             raise KeyError(key) from None
 
     def __iter__(self):
-        return product(self._leaves, repeat=2) if self._pairs else iter(self._leaves)
+        return product(self._leaves, repeat=2)
 
     def __len__(self) -> int:
         return self._flat.size
@@ -105,9 +101,9 @@ class LeafPairTable:
     the single-leaf probabilities and a same-tree entry off the diagonal is
     0.  Leaf u is node ``node[u]`` of tree ``tree[u]`` (the ``leaf_boxes``
     arrays, shared).  The table costs L^2 floats and no Python object per
-    pair; ``leaf_prob`` and ``pair_prob`` are read-only mapping views of it
-    keyed by (tree, node) and by pairs of those.  ``P``, ``tree`` and
-    ``node`` are read-only, also after pickling and copying.
+    pair; ``pair_prob`` is a read-only mapping view of it keyed by pairs of
+    (tree, node).  ``P``, ``tree`` and ``node`` are read-only, also after
+    pickling and copying.
     """
 
     P: np.ndarray  # (L, L)
@@ -121,18 +117,12 @@ class LeafPairTable:
     def __setstate__(self, state) -> None:
         _lock(self, state)
 
-    def _leaves(self) -> list[tuple[int, int]]:
-        return list(zip(self.tree.tolist(), self.node.tolist()))
-
-    @property
-    def leaf_prob(self) -> Mapping[tuple[int, int], float]:
-        """Pr[leaf fires], keyed by (tree, node), in leaf-box order."""
-        return _Probabilities(self._leaves(), np.diagonal(self.P), pairs=False)
-
     @property
     def pair_prob(self) -> Mapping[tuple[tuple[int, int], tuple[int, int]], float]:
-        """Pr[both leaves fire] for every ordered pair of leaf keys, row-major."""
-        return _Probabilities(self._leaves(), self.P.reshape(-1), pairs=True)
+        """Pr[both leaves fire] for every ordered pair of (tree, node) leaf
+        keys, row-major in leaf-box order."""
+        leaves = list(zip(self.tree.tolist(), self.node.tolist()))
+        return _Probabilities(leaves, self.P.reshape(-1))
 
     def tree_probability_sums(self) -> list[float]:
         """Sum of the leaf probabilities of each tree, in tree order."""

@@ -9,7 +9,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericDomainError, ValidationError
 from .exact import pg2_exact
-from .model import TreeEnsemble, _as_index
+from .model import TreeEnsemble, _as_index, _as_seed, as_feature_vector
 from .perturb import PerturbationSpec
 from .ranking import Ranking
 
@@ -74,6 +74,8 @@ def xi_random(
     from the dataset's corresponding column; features in ``keep`` stay fixed
     at the value in ``x``.  The draws come from ``np.random.default_rng(seed)``.
     """
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _as_seed(seed)
     rng = np.random.default_rng(seed)
     samples = _as_index(samples, "sample count")
     if samples < 1:
@@ -85,14 +87,15 @@ def xi_random(
         raise ValidationError(
             f"dataset has {dataset.num_features} features, model expects {d}"
         )
+    vec = as_feature_vector(x, d)
     keep_set = set(_as_index(q, "kept feature") for q in keep)
     for q in keep_set:
         if not 0 <= q < d:
             raise ValidationError(f"kept feature {q} outside 0..{d - 1}")
     randomized = [j for j in range(d) if j not in keep_set]
     if not randomized:
-        return ensemble.predict(x)
-    X = np.tile(np.asarray(x, dtype=np.float64), (samples, 1))
+        return ensemble.predict(vec)
+    X = np.tile(vec, (samples, 1))
     for j in randomized:
         X[:, j] = dataset.values[rng.integers(dataset.num_instances, size=samples), j]
     return float(np.mean(ensemble.predict_batch(X)))
@@ -112,7 +115,7 @@ def randomization_rmse(
     The deviation is measured against the model's own prediction on the
     untouched instance, or against ``labels`` when given.
     """
-    samples = _as_index(samples, "sample count")
+    samples, seed = _as_index(samples, "sample count"), _as_seed(seed)
     if dataset.num_instances < 1:
         raise ValidationError("dataset has no instances")
     if len(rankings) != dataset.num_instances:
@@ -121,8 +124,12 @@ def randomization_rmse(
         )
     if not 0 <= k <= ensemble.num_features:
         raise ValidationError(f"k={k} outside 0..{ensemble.num_features}")
-    if labels is not None and len(labels) != dataset.num_instances:
-        raise ValidationError("labels misaligned with the dataset")
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.float64)
+        if labels.shape != (dataset.num_instances,):
+            raise ValidationError("labels misaligned with the dataset")
+        if not np.isfinite(labels).all():
+            raise ValidationError("labels contain non-finite entries")
     root = np.random.SeedSequence(seed)
     streams = root.spawn(dataset.num_instances)
     total = 0.0

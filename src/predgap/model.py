@@ -271,6 +271,14 @@ def _as_index(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_seed(value) -> int:
+    """A random seed as an int; negative, bool and non-integral seeds raise."""
+    seed = _as_index(value, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def as_feature_vector(x, num_features: int) -> np.ndarray:
     """Coerce ``x`` to a finite float64 vector of the expected length."""
     vec = np.asarray(x, dtype=np.float64)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .exact import _check_query
-from .model import TreeEnsemble, _as_index
+from .model import TreeEnsemble, _as_index, _as_seed
 from .perturb import PerturbationSpec, halton_matrix
 
 _METHODS = ("mc", "qmc")
@@ -33,6 +33,7 @@ class EstimatorConfig:
             raise ValidationError(f"method must be one of {_METHODS}, got {self.method!r}")
         if _as_index(self.iterations, "iterations") < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
+        _as_seed(self.seed)
 
 
 def perturbed_inputs(
@@ -93,13 +94,3 @@ def pg2_sampled_prefixes(
         return [0.0] * len(configs)
     sq = gaps * gaps
     return [float(np.mean(sq[:c.iterations])) for c in configs]
-
-
-def pg_abs_sampled(
-    ensemble: TreeEnsemble, x, features, spec: PerturbationSpec, config: EstimatorConfig
-) -> float:
-    """Mean of |f(x') - f(x)| over the configured draws."""
-    gaps = _sampled_gaps(ensemble, x, features, spec, config)
-    if gaps is None:
-        return 0.0
-    return float(np.mean(np.abs(gaps)))

@@ -502,6 +502,10 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
         ("dist.json", '{"kind": "discrete", "points": [[false, true]]}', _DIST),
         ("attributions.json", "[[true, 0.5]%s]" % (", [0.1, 1]" * 3), _ATTRIBUTIONS),
         ("attributions.json", '[["2.5", 1]%s]' % (", [0.1, 1]" * 3), _ATTRIBUTIONS),
+        ("unused", "", [*_PG2, "--method", "mc", "--iterations", "10", "--seed", "-1"]),
+        ("unused", "", [*_BENCH, "--seed", "-1"]),
+        ("unused", "", ["eval", "--method", "greedy-pg2", "--sigma-rank", "0.5",
+                        "--metric", "randomize-rmse", "--k", "1", "--seed", "-1"]),
     ],
     ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
          "one-element-point", "huge-leaf-value", "over-long-integer", "huge-xgboost-leaf",
@@ -514,7 +518,8 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
          "inf-label", "header-only-pgi2", "header-only-randomize-rmse", "zero-iterations",
          "unknown-method", "blank-sizes", "zero-workers", "negative-workers", "boolean-sigma",
          "string-sigma", "boolean-discrete-point", "boolean-attribution",
-         "string-attribution"],
+         "string-attribution", "negative-mc-seed", "negative-benchmark-seed",
+         "negative-rmse-seed"],
 )
 def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
     path = workdir / name

@@ -1,10 +1,9 @@
-"""CSV ingestion, standardization, splitting, and pair sampling."""
+"""CSV ingestion and pair sampling."""
 
 import numpy as np
 import pytest
 
 import predgap as pg
-from predgap.data import load_standardization, save_standardization
 from predgap.errors import FormatError, ValidationError
 
 
@@ -48,86 +47,6 @@ def test_load_csv_missing_header(tmp_path):
     path = _write(tmp_path, "")
     with pytest.raises(FormatError, match="header"):
         pg.load_csv(path)
-
-
-def test_standardize_population_convention():
-    data = pg.Dataset(values=np.array([[0.0], [2.0]]), feature_names=("x",))
-    out, params = pg.standardize(data)
-    # population std of (0, 2) is 1, mean is 1
-    assert params["x"]["mean"] == 1.0 and params["x"]["std"] == 1.0
-    assert list(out.values[:, 0]) == [-1.0, 1.0]
-    assert out.standardized
-
-
-def test_standardize_with_identity_sidecar_is_noop():
-    data = pg.Dataset(values=np.array([[-1.0], [1.0]]), feature_names=("x",))
-    out, _ = pg.standardize(data, params={"x": {"mean": 0.0, "std": 1.0}})
-    assert np.array_equal(out.values, data.values)
-
-
-def test_standardize_constant_column_errors():
-    data = pg.Dataset(values=np.array([[1.0], [1.0]]), feature_names=("c",))
-    with pytest.raises(ValidationError, match="'c'"):
-        pg.standardize(data)
-
-
-def test_standardize_round_trip():
-    rng = np.random.default_rng(10)
-    data = pg.Dataset(
-        values=rng.normal(5.0, 3.0, size=(30, 4)),
-        feature_names=("a", "b", "c", "d"),
-    )
-    out, params = pg.standardize(data)
-    mean = np.array([params[name]["mean"] for name in data.feature_names])
-    std = np.array([params[name]["std"] for name in data.feature_names])
-    assert np.abs(out.values * std + mean - data.values).max() < 1e-12
-
-
-def test_standardization_sidecar_round_trip(tmp_path):
-    params = {"a": {"mean": 1.5, "std": 0.25}}
-    path = tmp_path / "params.json"
-    save_standardization(params, path)
-    assert load_standardization(path) == params
-
-
-@pytest.mark.parametrize(
-    "entry",
-    [{"mean": 0.0}, 1.0, {"mean": "0", "std": 1.0}, {"mean": 0.0, "std": "1"},
-     {"mean": True, "std": 1.0}, {"mean": float("nan"), "std": 1.0},
-     {"mean": 0.0, "std": float("inf")}, {"mean": 10**400, "std": 1.0},
-     {"mean": 0.0, "std": 0.0}],
-    ids=["no-std", "not-an-object", "string-mean", "string-std", "bool-mean", "nan-mean",
-         "infinite-std", "huge-mean", "zero-std"],
-)
-def test_malformed_standardization_params(entry):
-    data = pg.Dataset(values=np.array([[0.0], [2.0]]), feature_names=("x",))
-    with pytest.raises(ValidationError, match="'x'"):
-        pg.standardize(data, {"x": entry})
-
-
-def test_unreadable_standardization_sidecar(tmp_path):
-    path = tmp_path / "params.json"
-    path.write_bytes(b'{"x": \xff}')
-    with pytest.raises(FormatError, match="standardization sidecar"):
-        load_standardization(path)
-    with pytest.raises(FormatError, match="cannot write"):
-        save_standardization({}, tmp_path / "missing" / "params.json")
-
-
-def test_split_sizes_and_determinism():
-    data = pg.Dataset(
-        values=np.arange(20, dtype=np.float64).reshape(10, 2),
-        feature_names=("a", "b"),
-    )
-    train, test = pg.split(data, ratio=0.8, seed=3)
-    assert train.num_instances == 8 and test.num_instances == 2
-    train2, test2 = pg.split(data, ratio=0.8, seed=3)
-    assert np.array_equal(train.values, train2.values)
-    # a partition: every row lands in exactly one side
-    joined = np.vstack([train.values, test.values])
-    assert sorted(map(tuple, joined)) == sorted(map(tuple, data.values))
-    with pytest.raises(ValidationError):
-        pg.split(data, ratio=1.0)
 
 
 def test_sample_pairs_size_cycle():

@@ -33,7 +33,7 @@ def test_single_leaf_table():
     ens = pg.TreeEnsemble(trees=(pg.Tree(leaf(3.0)),), num_features=2)
     spec = pg.PerturbationSpec.gaussian(1.0, 2)
     table = pg.leaf_pair_probabilities(ens, [0.0, 0.0], [0, 1], spec)
-    assert table.leaf_prob == {(0, 0): 1.0}
+    assert np.diagonal(table.P).tolist() == [1.0]
     assert table.pair_prob[((0, 0), (0, 0))] == 1.0
 
 
@@ -41,17 +41,19 @@ def test_depth1_leaf_probabilities():
     ens = canonical_ensemble()
     spec = pg.PerturbationSpec.gaussian(1.0, 1)
     table = pg.leaf_pair_probabilities(ens, [-1.0], [0], spec)
+    assert table.node.tolist() == [1, 2]
     # Pr[x0 + delta < 0] = Pr[delta < 1] = Phi(1)
-    assert table.leaf_prob[(0, 1)] == pytest.approx(PHI_1, abs=1e-12)
-    assert table.leaf_prob[(0, 2)] == pytest.approx(1.0 - PHI_1, abs=1e-12)
+    assert table.P[0, 0] == pytest.approx(PHI_1, abs=1e-12)
+    assert table.P[1, 1] == pytest.approx(1.0 - PHI_1, abs=1e-12)
 
 
 def test_depth1_no_perturbation_is_pure_indicator():
     ens = canonical_ensemble()
     spec = pg.PerturbationSpec.gaussian(1.0, 1)
     table = pg.leaf_pair_probabilities(ens, [-1.0], [], spec)
-    assert table.leaf_prob[(0, 1)] == 1.0
-    assert table.leaf_prob[(0, 2)] == 0.0
+    assert table.node.tolist() == [1, 2]
+    assert table.P[0, 0] == 1.0
+    assert table.P[1, 1] == 0.0
 
 
 def test_table_views_are_read_only_mappings():
@@ -62,22 +64,20 @@ def test_table_views_are_read_only_mappings():
     boxes = ens.leaf_boxes
     L = boxes.value.size
     leaves = list(zip(boxes.tree.tolist(), boxes.node.tolist()))
-    leaf_dict = dict(zip(leaves, np.diag(table.P).tolist()))
     pair_dict = {(u, v): table.P[a, b] for a, u in enumerate(leaves) for b, v in enumerate(leaves)}
-    assert len(table.leaf_prob) == L and len(table.pair_prob) == L * L
-    assert table.leaf_prob == leaf_dict and table.pair_prob == pair_dict
-    assert list(table.pair_prob.items()) == list(pair_dict.items())
-    for view, key in ((table.leaf_prob, leaves[0]), (table.pair_prob, (leaves[0], leaves[-1]))):
-        values = view.values()
-        assert list(values) == list(values)
-        with pytest.raises(TypeError):
-            view[key] = 0.5
-        for unknown in ((len(ens.trees), 0), (0, -1), (leaves[0], (9, 9)), (leaves[0],), 7):
-            with pytest.raises(KeyError):
-                view[unknown]
-            assert unknown not in view
+    view = table.pair_prob
+    assert len(view) == L * L and view == pair_dict
+    assert list(view.items()) == list(pair_dict.items())
+    values = view.values()
+    assert list(values) == list(values)
+    with pytest.raises(TypeError):
+        view[(leaves[0], leaves[-1])] = 0.5
+    for unknown in ((len(ens.trees), 0), (0, -1), (leaves[0], (9, 9)), (leaves[0],), 7):
+        with pytest.raises(KeyError):
+            view[unknown]
+        assert unknown not in view
     for copy in (table, pickle.loads(pickle.dumps(table)), deepcopy(table)):
-        assert copy.leaf_prob == leaf_dict
+        assert copy.pair_prob == pair_dict
         for name in ("P", "tree", "node"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(copy, name)[0] = 1
@@ -312,7 +312,7 @@ def test_engine_equals_the_per_pair_formula_bit_for_bit():
         table = pg.leaf_pair_probabilities(ens, x, S, spec)
         P = pair_table_oracle(ens, x, S, spec)
         assert list(table.pair_prob.values()) == P.ravel().tolist(), n
-        assert list(table.leaf_prob.values()) == np.diag(P).tolist(), n
+        assert np.diagonal(table.P).tolist() == np.diag(P).tolist(), n
         boxes = ens.leaf_boxes
         T = len(ens.trees)
         tree_sums = [np.diag(P)[boxes.tree == i].sum() for i in range(T)]

@@ -140,6 +140,25 @@ def test_xi_random_deterministic():
     assert a == b
 
 
+def test_xi_random_rejects_a_query_of_the_wrong_length():
+    ens = canonical_ensemble(num_features=2)
+    data = _dataset(np.random.default_rng(2).normal(size=(4, 2)))
+    for keep in ([0], [0, 1]):
+        with pytest.raises(ValidationError, match="length 2"):
+            pg.xi_random(ens, [0.1], keep, data)
+
+
+def test_metric_seeds_must_be_non_negative_integers():
+    ens = canonical_ensemble(num_features=2)
+    data = _dataset(np.random.default_rng(3).normal(size=(4, 2)))
+    rankings = [pg.Ranking(order=(0, 1))] * 4
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValidationError, match="seed"):
+            pg.xi_random(ens, [0.0, 0.0], [1], data, samples=4, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            pg.randomization_rmse(ens, data, rankings, k=1, samples=4, seed=seed)
+
+
 def test_randomization_rmse_k0_and_constant_model():
     ens = canonical_ensemble(num_features=2)
     data = _dataset(np.random.default_rng(5).normal(size=(6, 2)))
@@ -184,3 +203,12 @@ def test_randomization_rmse_against_labels():
         const, data, rankings, k=1, samples=8, seed=0, labels=np.array([0.0, 1.0])
     )
     assert value == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+
+def test_randomization_rmse_rejects_non_finite_labels():
+    const = pg.TreeEnsemble(trees=(pg.Tree(leaf(1.0)),), num_features=1)
+    data = _dataset([[0.0], [1.0]])
+    rankings = [pg.Ranking(order=(0,))] * 2
+    for labels in ([float("nan")] * 2, [0.0, float("inf")]):
+        with pytest.raises(ValidationError, match="non-finite"):
+            pg.randomization_rmse(const, data, rankings, k=1, samples=8, labels=labels)

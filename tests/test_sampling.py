@@ -10,10 +10,8 @@ from support import (
     CANONICAL_PG2,
     canonical_ensemble,
     lattice_point,
-    leaf,
     random_discrete,
     random_ensemble,
-    split,
 )
 
 
@@ -26,7 +24,6 @@ def test_empty_set_is_zero():
     for method in ("mc", "qmc"):
         config = pg.EstimatorConfig(method=method, iterations=100, seed=1)
         assert pg.pg2_sampled(ens, [-1.0], [], _spec(), config) == 0.0
-        assert pg.pg_abs_sampled(ens, [-1.0], [], _spec(), config) == 0.0
 
 
 def test_mc_close_to_exact_at_one_million():
@@ -42,29 +39,6 @@ def test_qmc_close_to_exact_at_2_pow_14():
     config = pg.EstimatorConfig(method="qmc", iterations=2 ** 14)
     estimate = pg.pg2_sampled(ens, [-1.0], [0], _spec(), config)
     assert estimate == pytest.approx(CANONICAL_PG2, abs=0.001)
-
-
-def test_abs_gap_canonical():
-    # the gap magnitude is exactly 1 whenever the leaf flips, so the
-    # absolute and squared gaps share the same expectation here
-    ens = canonical_ensemble()
-    config = pg.EstimatorConfig(method="mc", iterations=1_000_000, seed=31)
-    estimate = pg.pg_abs_sampled(ens, [-1.0], [0], _spec(), config)
-    assert estimate == pytest.approx(CANONICAL_PG2, abs=0.002)
-
-
-def test_abs_gap_symmetric_leaves_self_oracle():
-    # leaves -1/+1 with x on the threshold: check a moderate run against a
-    # ten-million-draw reference instead of a closed form
-    tree = pg.Tree(split(0, 0.0, leaf(-1.0), leaf(1.0)))
-    ens = pg.TreeEnsemble(trees=(tree,), num_features=1)
-    reference = pg.pg_abs_sampled(
-        ens, [0.0], [0], _spec(), pg.EstimatorConfig("mc", 10_000_000, seed=999)
-    )
-    estimate = pg.pg_abs_sampled(
-        ens, [0.0], [0], _spec(), pg.EstimatorConfig("mc", 1_000_000, seed=5)
-    )
-    assert estimate == pytest.approx(reference, abs=0.007)
 
 
 def test_mc_error_decreases_with_iterations():
@@ -120,7 +94,10 @@ def test_config_validation():
     for iterations in (2.5, True):
         with pytest.raises(ValidationError):
             pg.EstimatorConfig(method="mc", iterations=iterations)
-    pg.EstimatorConfig(method="mc", iterations=np.int64(10))
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValidationError, match="seed"):
+            pg.EstimatorConfig(method="mc", iterations=10, seed=seed)
+    pg.EstimatorConfig(method="mc", iterations=np.int64(10), seed=np.int64(3))
 
 
 def test_qmc_multifeature_assignment_is_ascending():
