@@ -95,10 +95,11 @@ def xi_random(
     randomized = [j for j in range(d) if j not in keep_set]
     if not randomized:
         return ensemble.predict(vec)
-    X = np.tile(vec, (samples, 1))
-    for j in randomized:
-        X[:, j] = dataset.values[rng.integers(dataset.num_instances, size=samples), j]
-    return float(np.mean(ensemble.predict_batch(X)))
+    # One column per randomized feature; the ensemble conditioned on x fixes the rest.
+    X = np.empty((samples, len(randomized)))
+    for j, q in enumerate(randomized):
+        X[:, j] = dataset.values[rng.integers(dataset.num_instances, size=samples), q]
+    return float(np.mean(ensemble._conditioned(vec, randomized).predict_batch(X)))
 
 
 def randomization_rmse(

@@ -263,6 +263,43 @@ class TreeEnsemble:
             out += tree.value[tree.leaves(flat, row_offset)]
         return out
 
+    def _conditioned(self, vec: np.ndarray, feats) -> TreeEnsemble:
+        """This ensemble with every feature outside ``feats`` fixed at ``vec``.
+
+        The result is an ensemble over ``len(feats)`` features: row r of a
+        matrix X stands for the input that equals ``vec`` except that feature
+        ``feats[j]`` is ``X[r, j]``, and ``predict_batch`` gives this
+        ensemble's prediction there, bit for bit.  Each tree replaces a split
+        on a feature outside ``feats`` by the child ``vec`` goes to and
+        renumbers the remaining splits' features into ``feats``' columns; a
+        tree with no split on ``feats`` becomes a single leaf.  ``feats`` is
+        a non-empty, ascending sequence of distinct features; when it holds
+        every feature, the ensemble itself is returned.
+        """
+        if len(feats) == self.num_features:
+            return self
+        column = {q: j for j, q in enumerate(feats)}
+        x = vec.tolist()
+        trees = []
+        for tree in self.trees:
+            feature, threshold, child, value = (
+                a.tolist() for a in (tree.feature, tree.threshold, tree.child, tree.value)
+            )
+
+            # A node is its index; the indices come from ``child``, which
+            # keeps them alive, so ``_fill``'s cycle check sees distinct ids.
+            def read_node(i, where):
+                q = feature[i]
+                while q >= 0 and q not in column:
+                    i = child[2 * i + (x[q] < threshold[i])]
+                    q = feature[i]
+                if q < 0:
+                    return value[i]
+                return column[q], threshold[i], child[2 * i + 1], where, child[2 * i], where
+
+            trees.append(_parse_tree(0, read_node, "tree"))
+        return TreeEnsemble(tuple(trees), len(feats))
+
 
 def _as_index(value, what: str) -> int:
     """An index or count as an int; bools and non-integral numbers raise."""

@@ -4,6 +4,11 @@ These are the sampling baselines the exact algorithm is measured against:
 plain MC draws independent noise per perturbed feature, QMC runs the Halton
 sequence (restarted at index 1 for every query) through each feature's
 inverse CDF.  No variance-reduction tricks on purpose.
+
+Every draw equals x outside the perturbed set S, so a query samples only S's
+columns and walks the ensemble conditioned on x (``TreeEnsemble._conditioned``),
+whose trees keep only the splits on S.  The predictions are the ones the full
+ensemble gives on the full perturbed inputs, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,21 +44,24 @@ class EstimatorConfig:
 def perturbed_inputs(
     vec: np.ndarray, feats: tuple[int, ...], spec: PerturbationSpec, config: EstimatorConfig
 ) -> np.ndarray:
-    """One perturbed copy of ``vec`` per iteration, features in ascending order.
+    """The perturbed features of one draw per iteration, as an (n, |S|) matrix.
 
-    QMC assigns Halton coordinate j to the j-th smallest perturbed feature
-    and ignores the seed; the sequence is deterministic.
+    Column j holds ``vec[feats[j]]`` plus that feature's noise, for the
+    ascending ``feats``; the features outside S keep ``vec``'s values and get
+    no column.  MC draws the features in that order from one seeded
+    generator.  QMC assigns Halton coordinate j to column j and ignores the
+    seed; the sequence is deterministic.
     """
     n = config.iterations
-    X = np.tile(vec, (n, 1))
+    X = np.tile(vec[list(feats)], (n, 1))
     if config.method == "mc":
         rng = np.random.default_rng(config.seed)
-        for q in feats:
-            X[:, q] += spec.distribution_for(q).sample_n(rng, n)
+        for j, q in enumerate(feats):
+            X[:, j] += spec.distribution_for(q).sample_n(rng, n)
     else:
         U = halton_matrix(n, len(feats))
         for j, q in enumerate(feats):
-            X[:, q] += spec.distribution_for(q).inv_cdf_n(U[:, j])
+            X[:, j] += spec.distribution_for(q).inv_cdf_n(U[:, j])
     return X
 
 
@@ -63,7 +71,7 @@ def _sampled_gaps(ensemble, x, features, spec, config):
         return None
     c = ensemble.predict(vec)
     X = perturbed_inputs(vec, feats, spec, config)
-    return ensemble.predict_batch(X) - c
+    return ensemble._conditioned(vec, feats).predict_batch(X) - c
 
 
 def pg2_sampled(

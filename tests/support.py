@@ -128,6 +128,44 @@ def walk_oracle(ensemble, X) -> np.ndarray:
     return out
 
 
+def full_width_squared_gaps(ensemble, x, features, spec, config) -> np.ndarray:
+    """The squared gaps behind ``pg2_sampled``, from the whole ensemble on
+    n full copies of x: each perturbed feature, in ascending order, adds its
+    noise (MC draws, or the Halton coordinate of its rank through the inverse
+    CDF) to its own column of the n×d matrix."""
+    vec = np.asarray(x, dtype=np.float64)
+    feats = sorted(set(features))
+    n = config.iterations
+    if not feats:
+        return np.zeros(n)
+    X = np.tile(vec, (n, 1))
+    if config.method == "mc":
+        rng = np.random.default_rng(config.seed)
+        for q in feats:
+            X[:, q] += spec.distribution_for(q).sample_n(rng, n)
+    else:
+        U = pg.halton_matrix(n, len(feats))
+        for j, q in enumerate(feats):
+            X[:, q] += spec.distribution_for(q).inv_cdf_n(U[:, j])
+    gaps = ensemble.predict_batch(X) - ensemble.predict(vec)
+    return gaps * gaps
+
+
+def full_width_xi_random(ensemble, x, keep, dataset, samples, seed) -> float:
+    """``xi_random`` on the whole ensemble: n full copies of x whose features
+    outside ``keep`` are overwritten, in ascending order, by draws from the
+    dataset's column."""
+    vec = np.asarray(x, dtype=np.float64)
+    randomized = [q for q in range(ensemble.num_features) if q not in set(keep)]
+    if not randomized:
+        return ensemble.predict(vec)
+    rng = np.random.default_rng(seed)
+    X = np.tile(vec, (samples, 1))
+    for q in randomized:
+        X[:, q] = dataset.values[rng.integers(dataset.num_instances, size=samples), q]
+    return float(np.mean(ensemble.predict_batch(X)))
+
+
 def radical_inverse(index: int, base: int) -> float:
     """Reflect the base-``base`` digits of ``index`` about the radix point."""
     inv = 0.0

@@ -8,7 +8,14 @@ import pytest
 import predgap as pg
 from predgap.errors import NumericDomainError, ValidationError
 
-from support import CANONICAL_PG2, canonical_ensemble, leaf
+from support import (
+    CANONICAL_PG2,
+    canonical_ensemble,
+    full_width_xi_random,
+    lattice_point,
+    leaf,
+    random_ensemble,
+)
 
 
 def _dataset(matrix, names=None):
@@ -138,6 +145,21 @@ def test_xi_random_deterministic():
     a = pg.xi_random(ens, [0.0, 0.0], [1], data, samples=64, seed=9)
     b = pg.xi_random(ens, [0.0, 0.0], [1], data, samples=64, seed=9)
     assert a == b
+
+
+def test_xi_random_equals_the_full_width_walk_bit_for_bit():
+    # drawing only the randomized columns and walking x-conditioned trees
+    # gives the floats of the whole ensemble walked on n full copies of x
+    rng = np.random.default_rng(5)
+    d = 5
+    data = _dataset(np.round(rng.normal(size=(30, d)), 1))
+    for lattice_p in (0.6, 1.0):
+        ens = random_ensemble(rng, num_features=d, num_trees=6, max_depth=5, lattice_p=lattice_p)
+        for keep in ([], [2], [0, 3, 3], [4, 1, 0, 2], list(range(d))):
+            x = lattice_point(rng, d)
+            for seed in (0, 17, np.random.SeedSequence(9)):
+                want = full_width_xi_random(ens, x, keep, data, 200, seed)
+                assert pg.xi_random(ens, x, keep, data, samples=200, seed=seed) == want
 
 
 def test_xi_random_rejects_a_query_of_the_wrong_length():

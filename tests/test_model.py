@@ -98,12 +98,12 @@ def test_predict_batch_matches_scalar():
         assert batch[i] == ens.predict(X[i])
 
 
-def _chain(depth):
-    """A one-feature chain: split k sends x < k to a leaf of value 1 and
-    x >= k on down, to a last leaf of value 0."""
+def _chain(depth, num_features=1):
+    """A chain: split k, on feature k % num_features, sends x < k to a leaf
+    of value 1 and x >= k on down, to a last leaf of value 0."""
     node = leaf(0.0)
     for k in reversed(range(depth)):
-        node = split(0, k, leaf(1.0), node)
+        node = split(k % num_features, k, leaf(1.0), node)
     return pg.Tree(node)
 
 
@@ -199,6 +199,60 @@ def test_predict_batch_on_a_deep_chain():
     assert _levels_walked(tree, to_the_bottom) == depth
     perfect = perfect_tree(np.random.default_rng(15), 2, 4)
     assert _levels_walked(perfect, np.zeros((5, 2))) == 4
+
+
+def test_conditioned_leaves_are_the_exact_engines_alive_leaves():
+    # The samplers walk the x-conditioned trees and pg2_exact reads the alive
+    # leaves; both must see the same leaves, in the same order, with the
+    # same boxes on S.
+    from predgap.exact import _alive, _check_query
+
+    rng = np.random.default_rng(16)
+    d = 5
+    spec = pg.PerturbationSpec.gaussian(1.0, d)
+    for lattice_p in (0.6, 1.0):
+        for _ in range(15):
+            ens = random_ensemble(rng, d, num_trees=4, max_depth=5, lattice_p=lattice_p)
+            boxes = ens.leaf_boxes
+            cuts = [
+                (t.feature[i], t.threshold[i])
+                for t in ens.trees
+                for i in np.flatnonzero(t.feature >= 0)
+            ]
+            for _ in range(10):
+                x = lattice_point(rng, d)
+                for k in rng.choice(len(cuts), size=min(3, len(cuts)), replace=False):
+                    x[cuts[k][0]] = cuts[k][1]  # x on a split's threshold
+                S = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+                vec, feats, dists = _check_query(ens, x, S, spec)
+                alive = _alive(boxes, vec, feats, dists)[1]
+                got = ens._conditioned(vec, feats).leaf_boxes
+                assert np.array_equal(got.lo, boxes.lo[alive][:, feats])
+                assert np.array_equal(got.hi, boxes.hi[alive][:, feats])
+                assert np.array_equal(got.value, boxes.value[alive])
+                assert np.array_equal(got.tree, boxes.tree[alive])
+    assert ens._conditioned(vec, range(d)) is ens
+
+
+def test_conditioning_a_deep_chain():
+    depth = 5000
+    alternating, on_feature_0 = _chain(depth, num_features=2), _chain(depth)
+    ens = pg.TreeEnsemble(trees=(alternating, on_feature_0), num_features=2)
+    # x1 goes right at every split on feature 1, so feature 0's splits remain
+    cond = ens._conditioned(np.array([0.0, 1e9]), [0])
+    assert cond.num_features == 1
+    assert (cond.trees[0].node_count, cond.trees[0].max_depth) == (depth + 1, depth // 2)
+    assert cond.trees[1] == on_feature_0
+    column = np.array([[-1.0], [0.0], [2.0], [2501.0], [depth - 2.0], [1e9]])
+    full = np.hstack((column, np.full_like(column, 1e9)))
+    assert np.array_equal(cond.predict_batch(column), ens.predict_batch(full))
+    # no split on S: the tree becomes the one leaf x reaches
+    for x0, value in ((2500.5, 1.0), (1e9, 0.0)):
+        cond = ens._conditioned(np.array([x0, 0.0]), [1])
+        assert cond.trees[1].node_count == 1
+        assert cond.trees[1].value.tolist() == [value]
+        full = np.array([[x0, -1.0], [x0, 3.0], [x0, 1e9]])
+        assert np.array_equal(cond.predict_batch(full[:, 1:]), ens.predict_batch(full))
 
 
 def test_predict_validation():

@@ -9,6 +9,7 @@ from predgap.errors import ValidationError
 from support import (
     CANONICAL_PG2,
     canonical_ensemble,
+    full_width_squared_gaps,
     lattice_point,
     random_discrete,
     random_ensemble,
@@ -101,19 +102,50 @@ def test_config_validation():
 
 
 def test_qmc_multifeature_assignment_is_ascending():
-    # three perturbed features get Halton bases 2, 3, 5 in feature order
+    # three perturbed features get Halton bases 2, 3, 5 in feature order, in
+    # matrix columns 0, 1, 2; the unperturbed feature 2 gets no column
     from predgap.sampling import perturbed_inputs
 
     spec = pg.PerturbationSpec.gaussian(1.0, 4)
     X = perturbed_inputs(
         np.zeros(4), (0, 1, 3), spec, pg.EstimatorConfig("qmc", 8)
     )
+    assert X.shape == (8, 3)
     U = pg.halton_matrix(8, 3)
     g = pg.Gaussian(1.0)
     assert np.allclose(X[:, 0], g.inv_cdf_n(U[:, 0]))
     assert np.allclose(X[:, 1], g.inv_cdf_n(U[:, 1]))
-    assert np.allclose(X[:, 3], g.inv_cdf_n(U[:, 2]))
-    assert np.all(X[:, 2] == 0.0)
+    assert np.allclose(X[:, 2], g.inv_cdf_n(U[:, 2]))
+
+
+def test_estimators_equal_the_full_width_walk_bit_for_bit():
+    # sampling S's columns and walking x-conditioned trees gives the floats
+    # of the whole ensemble walked on n full copies of x
+    rng = np.random.default_rng(32)
+    d = 5
+    ensembles = [
+        random_ensemble(rng, num_features=d, num_trees=6, max_depth=5),
+        random_ensemble(rng, num_features=d, num_trees=6, max_depth=5, lattice_p=1.0),
+    ]
+    specs = [
+        pg.PerturbationSpec.gaussian(0.7, d),
+        pg.PerturbationSpec(per_feature=(pg.Uniform(0.9),) * d),
+        pg.PerturbationSpec(per_feature=tuple(random_discrete(rng) for _ in range(d))),
+    ]
+    feature_sets = ([], [3], [4, 1, 4], [0, 2, 2, 1], list(range(d)), [4, 3, 2, 1, 0, 3])
+    counts = [60, 1, 257]
+    for ens in ensembles:
+        for spec in specs:
+            for features in feature_sets:
+                x = lattice_point(rng, d)
+                for method, seed in (("mc", int(rng.integers(1 << 32))), ("qmc", 0)):
+                    config = pg.EstimatorConfig(method, 300, seed=seed)
+                    want = float(np.mean(full_width_squared_gaps(ens, x, features, spec, config)))
+                    assert pg.pg2_sampled(ens, x, features, spec, config) == want
+                sq = full_width_squared_gaps(ens, x, features, spec, pg.EstimatorConfig("qmc", 257))
+                assert pg.pg2_sampled_prefixes(ens, x, features, spec, counts) == [
+                    float(np.mean(sq[:n])) for n in counts
+                ]
 
 
 def test_prefixes_equal_one_qmc_call_per_count():
