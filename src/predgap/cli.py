@@ -27,7 +27,9 @@ from .errors import (
 )
 from .exact import pg2_exact
 from .metrics import mean_pgi2, nmae, randomization_rmse
-from .model import TreeEnsemble, _as_index, _as_seed, load_ensemble, save_ensemble
+from .model import (
+    TreeEnsemble, _as_index, _as_seed, ensemble_from_xgboost_dump, load_ensemble, save_ensemble,
+)
 from .perturb import PerturbationSpec, spec_from_config
 from .ranking import Ranking, greedy_pg2_ranking, load_attributions, ranking_from_attribution
 from .sampling import EstimatorConfig, pg2_sampled, pg2_sampled_prefixes
@@ -69,6 +71,8 @@ def _load_inputs(args) -> tuple[TreeEnsemble, Dataset, np.ndarray | None]:
     ensemble = load_ensemble(args.model)
     exclude = [name for name in (args.exclude_columns or "").split(",") if name]
     dataset, labels = load_csv(args.data, label_column=args.label_column, exclude=exclude)
+    if dataset.num_instances < 1:
+        raise ValidationError("dataset has no instances")
     if dataset.num_features != ensemble.num_features:
         raise ValidationError(
             f"data has {dataset.num_features} features, model expects {ensemble.num_features}"
@@ -135,11 +139,8 @@ def cmd_pg2(args) -> int:
 
 
 def cmd_convert_model(args) -> int:
-    ensemble = load_ensemble(
-        args.input,
-        format="xgboost-dump",
-        num_features=args.num_features,
-        base_score=args.base_score,
+    ensemble = ensemble_from_xgboost_dump(
+        read_json(args.input, "model"), num_features=args.num_features, base_score=args.base_score
     )
     save_ensemble(ensemble, args.output)
     return EXIT_OK

@@ -36,13 +36,12 @@ one block.
 ``leaf_pair_probabilities`` builds the whole of P instead: one outer
 min/max over all alive leaves, scattered into a dense (L, L) array.  Its
 ``LeafPairTable`` holds that array and the leaves' (tree, node) keys; the
-dict-like ``pair_prob`` view and the per-tree sums read the array, so the
+iterable ``pair_prob`` view and the per-tree sums read the array, so the
 table costs L^2 floats and no Python object per pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from itertools import product
 
@@ -53,43 +52,25 @@ from .model import TreeEnsemble, _as_index, _lock, as_feature_vector
 from .perturb import Discrete, PerturbationSpec
 
 
-class _Probabilities(Mapping):
-    """A read-only mapping view of a flat probability array: keys are every
-    ordered pair of the leaf keys ``leaves``, row-major, and the i-th key
-    maps to ``flat[i]``."""
+class _PairProbabilities:
+    """A read-only view of a table's pair probabilities, row-major over ``P``:
+    ``items()`` pairs each ordered ((tree, node), (tree, node)) leaf pair with
+    its probability, and ``values()`` lists the probabilities alone."""
 
-    def __init__(self, leaves: list, flat: np.ndarray):
-        self._leaves, self._flat = leaves, flat
-        self._index = {leaf: u for u, leaf in enumerate(leaves)}
+    __slots__ = ("_table",)
 
-    def __getitem__(self, key) -> float:
-        try:
-            u, v = key
-            return self._flat.item(self._index[u] * len(self._leaves) + self._index[v])
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        return product(self._leaves, repeat=2)
+    def __init__(self, table: LeafPairTable):
+        self._table = table
 
     def __len__(self) -> int:
-        return self._flat.size
+        return self._table.P.size
 
-    def values(self) -> ValuesView:
-        return _Values(self)
+    def values(self) -> list[float]:
+        return self._table.P.reshape(-1).tolist()
 
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping._flat.tolist())
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._flat.tolist())
+    def items(self) -> zip:
+        leaves = list(zip(self._table.tree.tolist(), self._table.node.tolist()))
+        return zip(product(leaves, repeat=2), self.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,10 +81,11 @@ class LeafPairTable:
     order: ``P[u, v]`` is Pr[leaves u and v both fire], so its diagonal holds
     the single-leaf probabilities and a same-tree entry off the diagonal is
     0.  Leaf u is node ``node[u]`` of tree ``tree[u]`` (the ``leaf_boxes``
-    arrays, shared).  The table costs L^2 floats and no Python object per
-    pair; ``pair_prob`` is a read-only mapping view of it keyed by pairs of
-    (tree, node).  ``P``, ``tree`` and ``node`` are read-only, also after
-    pickling and copying.
+    arrays, shared): to read one pair, index ``P`` with the rows whose
+    ``tree`` and ``node`` name its leaves.  The table costs L^2 floats and no
+    Python object per pair; ``pair_prob`` iterates it as ((tree, node),
+    (tree, node)) pairs with their probabilities.  ``P``, ``tree`` and
+    ``node`` are read-only, also after pickling and copying.
     """
 
     P: np.ndarray  # (L, L)
@@ -118,11 +100,10 @@ class LeafPairTable:
         _lock(self, state)
 
     @property
-    def pair_prob(self) -> Mapping[tuple[tuple[int, int], tuple[int, int]], float]:
+    def pair_prob(self) -> _PairProbabilities:
         """Pr[both leaves fire] for every ordered pair of (tree, node) leaf
         keys, row-major in leaf-box order."""
-        leaves = list(zip(self.tree.tolist(), self.node.tolist()))
-        return _Probabilities(leaves, self.P.reshape(-1))
+        return _PairProbabilities(self)
 
     def tree_probability_sums(self) -> list[float]:
         """Sum of the leaf probabilities of each tree, in tree order."""

@@ -478,19 +478,9 @@ def ensemble_from_xgboost_dump(
 # File IO
 # ---------------------------------------------------------------------------
 
-def load_ensemble(
-    path,
-    format: str = "canonical",
-    num_features: int | None = None,
-    base_score: float = 0.0,
-) -> TreeEnsemble:
-    """Load a model file in the named format ('canonical' or 'xgboost-dump')."""
-    obj = read_json(path, "model")
-    if format == "canonical":
-        return ensemble_from_dict(obj)
-    if format == "xgboost-dump":
-        return ensemble_from_xgboost_dump(obj, num_features=num_features, base_score=base_score)
-    raise ValidationError(f"unknown model format {format!r}")
+def load_ensemble(path) -> TreeEnsemble:
+    """Load a model file in the canonical JSON format."""
+    return ensemble_from_dict(read_json(path, "model"))
 
 
 def save_ensemble(ensemble: TreeEnsemble, path) -> None:

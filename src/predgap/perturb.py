@@ -1,11 +1,10 @@
 """Independent per-feature perturbation distributions and Halton sequences.
 
-Every distribution exposes an O(1) CDF, its inverse, and seeded sampling.
-``cdf`` is the usual right-continuous Pr[delta <= v]; ``cdf_below`` is the
-left limit Pr[delta < v], which only differs for discrete distributions and
-is what half-open interval probabilities are built from.  The CDFs and
-``interval_prob`` work elementwise on numpy arrays and return a plain float
-for scalar arguments.
+Every distribution exposes one O(1) CDF, its inverse, and seeded sampling.
+The CDF is ``cdf_below``, the left limit Pr[delta < v]: half-open interval
+probabilities are built from it, and for discrete distributions it leaves
+out an atom at v.  ``cdf_below`` and ``interval_prob`` work elementwise on
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -23,30 +22,27 @@ from .model import _as_index
 _SQRT2 = math.sqrt(2.0)
 
 
-def _float_if_scalar(a):
-    return float(a) if np.ndim(a) == 0 else a
+def _finite_scale(scale: float) -> bool:
+    """Whether ``scale`` and its reciprocal are finite.  A CDF divides by the
+    scale: an infinite scale makes its values nan or 0.5, and an infinite
+    reciprocal makes the division overflow."""
+    return math.isfinite(scale) and math.isfinite(1.0 / scale)
 
 
 class Distribution:
     """Common surface for the supported perturbation distributions."""
 
-    def cdf(self, v: float | np.ndarray) -> float | np.ndarray:
-        raise NotImplementedError
-
-    def cdf_below(self, v: float | np.ndarray) -> float | np.ndarray:
+    def cdf_below(self, v: np.ndarray) -> np.ndarray:
         """Pr[delta < v], in [0, 1] and non-decreasing in v, at v = +-inf too.
 
         The exact engine relies on monotonicity: it takes min/max of this
         function's values in place of evaluating it at min/max of the ends.
         """
-        return self.cdf(v)
+        raise NotImplementedError
 
-    def interval_prob(
-        self, lo: float | np.ndarray, hi: float | np.ndarray
-    ) -> float | np.ndarray:
+    def interval_prob(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Pr[lo <= delta < hi] for the half-open interval [lo, hi); 0 when empty."""
-        p = np.where(hi > lo, self.cdf_below(hi) - self.cdf_below(lo), 0.0)
-        return _float_if_scalar(p)
+        return np.where(hi > lo, self.cdf_below(hi) - self.cdf_below(lo), 0.0)
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -62,11 +58,14 @@ class Gaussian(Distribution):
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"gaussian sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0 and _finite_scale(self.sigma * _SQRT2)):
+            raise ValidationError(
+                f"gaussian sigma must be positive, with sigma*sqrt(2) and its reciprocal finite; "
+                f"got {self.sigma}"
+            )
 
-    def cdf(self, v: float | np.ndarray) -> float | np.ndarray:
-        return _float_if_scalar(0.5 * (1.0 + erf(np.divide(v, self.sigma * _SQRT2))))
+    def cdf_below(self, v: np.ndarray) -> np.ndarray:
+        return 0.5 * (1.0 + erf(np.divide(v, self.sigma * _SQRT2)))
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         return self.sigma * ndtri(u)
@@ -82,14 +81,15 @@ class Uniform(Distribution):
     half_width: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.half_width) and self.half_width > 0):
+        if not (self.half_width > 0 and _finite_scale(2.0 * self.half_width)):
             raise ValidationError(
-                f"uniform half_width must be positive, got {self.half_width}"
+                f"uniform half_width must be positive, with 2*half_width and its reciprocal "
+                f"finite; got {self.half_width}"
             )
 
-    def cdf(self, v: float | np.ndarray) -> float | np.ndarray:
+    def cdf_below(self, v: np.ndarray) -> np.ndarray:
         w = self.half_width
-        return _float_if_scalar(np.clip(np.add(v, w) / (2.0 * w), 0.0, 1.0))
+        return np.clip(np.add(v, w) / (2.0 * w), 0.0, 1.0)
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         return (2.0 * u - 1.0) * self.half_width
@@ -134,11 +134,8 @@ class Discrete(Distribution):
         """``_cum`` behind a leading zero: the mass below the i-th offset."""
         return np.concatenate(([0.0], self._cum))
 
-    def cdf(self, v: float | np.ndarray) -> float | np.ndarray:
-        return _float_if_scalar(self._cum0[np.searchsorted(self._offsets, v, side="right")])
-
-    def cdf_below(self, v: float | np.ndarray) -> float | np.ndarray:
-        return _float_if_scalar(self._cum0[np.searchsorted(self._offsets, v, side="left")])
+    def cdf_below(self, v: np.ndarray) -> np.ndarray:
+        return self._cum0[np.searchsorted(self._offsets, v, side="left")]
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         # Generalized inverse: the smallest offset whose CDF reaches u.

@@ -447,6 +447,8 @@ _NOT_UTF8 = b"\xff\xfe{}"
 _NO_DIR = "{path}.missing/out"  # inside a directory that does not exist
 _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-against",
            "labels", "--method", "greedy-pg2", "--sigma-rank", "1.0", "--k", "1"]
+_GREEDY = ["eval", "--method", "greedy-pg2", "--sigma-rank", "0.5"]
+_RMSE = [*_GREEDY, "--metric", "randomize-rmse"]
 
 
 @pytest.mark.parametrize(
@@ -506,6 +508,30 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
         ("unused", "", [*_BENCH, "--seed", "-1"]),
         ("unused", "", ["eval", "--method", "greedy-pg2", "--sigma-rank", "0.5",
                         "--metric", "randomize-rmse", "--k", "1", "--seed", "-1"]),
+        ("unused", "", [*_PG2, "--sigma", "1.5e308"]),
+        ("unused", "", [*_PG2, "--sigma", "1.5e308", "--method", "qmc"]),
+        ("unused", "", [*_PG2, "--sigma", "1e-320"]),
+        ("dist.json", '{"kind": "uniform", "half_width": 1e308}', _DIST),
+        ("dist.json", '{"kind": "uniform", "half_width": 1e-320}', _DIST),
+        ("data.csv", "a,b\n", ["rank", "--sigma", "1.0"]),
+        ("unused", "", ["rank"]),
+        ("unused", "", ["rank", "--method", "from-attribution"]),
+        ("unused", "", ["eval", "--metric", "pgi2", "--sigma-metric", "1.0"]),
+        ("unused", "", ["eval", "--method", "greedy-pg2", "--metric", "pgi2", "--sigma-metric", "1.0"]),
+        ("unused", "", [*_GREEDY, "--metric", "pgi2"]),
+        ("unused", "", _RMSE),
+        ("unused", "", [*_RMSE, "--k", "3"]),
+        ("unused", "", [*_RMSE, "--k", "1", "--rmse-against", "labels"]),
+        ("unused", "", [*_BENCH, "--repetitions", "0"]),
+        ("unused", "", [*_PG2, "--features", "a"]),
+        ("unused", "", [*_BENCH, "--sigmas", "x"]),
+        ("unused", "", [*_BENCH, "--sizes", "3"]),
+        ("unused", "", [*_PG2, "--exclude-columns", "a,b"]),
+        ("data.csv", "a,b\n1.0,2.0\n1.0\n", _PG2),
+        ("model.json", '{"num_features": 0, "trees": [{"value": 1.0}]}', _PG2),
+        ("model.json", '{"num_features": 2, "trees": []}', _PG2),
+        ("dist.json", '{"kind": "discrete", "points": []}', _DIST),
+        ("dist.json", '{"kind": "discrete", "points": [[Infinity, 1.0]]}', _DIST),
     ],
     ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
          "one-element-point", "huge-leaf-value", "over-long-integer", "huge-xgboost-leaf",
@@ -519,7 +545,14 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
          "unknown-method", "blank-sizes", "zero-workers", "negative-workers", "boolean-sigma",
          "string-sigma", "boolean-discrete-point", "boolean-attribution",
          "string-attribution", "negative-mc-seed", "negative-benchmark-seed",
-         "negative-rmse-seed"],
+         "negative-rmse-seed", "overflowing-sigma", "overflowing-sigma-qmc",
+         "underflowing-sigma", "overflowing-half-width", "underflowing-half-width",
+         "header-only-rank", "rank-without-noise", "attribution-rank-without-file",
+         "eval-without-rankings", "greedy-eval-without-sigma-rank",
+         "pgi2-without-sigma-metric", "randomize-rmse-without-k", "randomize-rmse-k-above-d",
+         "labels-rmse-without-label-column", "zero-repetitions", "non-integer-features",
+         "non-numeric-sigmas", "size-above-d", "every-column-excluded", "ragged-csv-row",
+         "zero-feature-model", "treeless-model", "pointless-discrete", "infinite-discrete-offset"],
 )
 def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
     path = workdir / name

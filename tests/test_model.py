@@ -1,7 +1,6 @@
 """Tree construction, routing semantics, serialization, and the importers."""
 
 import contextlib
-import json
 import pickle
 import signal
 from copy import deepcopy
@@ -555,9 +554,7 @@ def _boosted_dump(rng, num_trees, num_features, depth):
 def test_forty_tree_dump_structure(tmp_path):
     rng = np.random.default_rng(40)
     dump = _boosted_dump(rng, num_trees=40, num_features=11, depth=4)
-    path = tmp_path / "dump.json"
-    path.write_text(json.dumps(dump))
-    ens = pg.load_ensemble(path, format="xgboost-dump", num_features=11)
+    ens = ensemble_from_xgboost_dump(dump, num_features=11)
     assert len(ens.trees) == 40
     # every root-leaf path is at most 5 nodes long (depth <= 4)
     assert all(t.max_depth + 1 <= 5 for t in ens.trees)

@@ -17,28 +17,26 @@ from support import PHI_1, halton_point
 
 def test_gaussian_cdf_symmetry_and_limits():
     g = pg.Gaussian(1.0)
-    assert g.cdf(0.0) == 0.5
-    assert g.cdf(float("-inf")) == 0.0
-    assert g.cdf(float("inf")) == 1.0
+    assert g.cdf_below(0.0) == 0.5
+    assert g.cdf_below(float("-inf")) == 0.0
+    assert g.cdf_below(float("inf")) == 1.0
 
 
 def test_gaussian_cdf_at_one_matches_density_quadrature():
     g = pg.Gaussian(1.0)
-    assert g.cdf(1.0) == pytest.approx(PHI_1, abs=1e-12)
+    assert g.cdf_below(1.0) == pytest.approx(PHI_1, abs=1e-12)
     # independent check: integrate the density numerically
     density = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
     integral, _ = quad(density, -10.0, 1.0)
-    assert g.cdf(1.0) == pytest.approx(integral, abs=1e-10)
+    assert g.cdf_below(1.0) == pytest.approx(integral, abs=1e-10)
 
 
 def test_discrete_cdf_point_mass():
     d = pg.Discrete(points=((-1.0, 0.5), (1.0, 0.5)))
-    assert d.cdf(0.0) == 0.5
-    assert d.cdf(-1.0) == 0.5          # right-continuous: atom included
+    assert d.cdf_below(0.0) == 0.5
     assert d.cdf_below(-1.0) == 0.0    # left limit excludes the atom
-    assert d.cdf(1.0) == 1.0
-    assert d.cdf(float("inf")) == 1.0
-    assert d.cdf(float("-inf")) == 0.0
+    assert d.cdf_below(float("inf")) == 1.0
+    assert d.cdf_below(float("-inf")) == 0.0
 
 
 def test_interval_prob_half_open():
@@ -64,13 +62,10 @@ def test_array_calls_match_scalar_calls(dist):
     probs = dist.interval_prob(lo, hi)
     assert probs.shape == lo.shape
     for (i, j), p in np.ndenumerate(probs):
-        scalar = dist.interval_prob(float(lo[i, j]), float(hi[i, j]))
-        assert type(scalar) is float and p == scalar
-    ends = np.array(_ENDS)
-    for fn in (dist.cdf, dist.cdf_below):
-        values = fn(ends)
-        for v, c in zip(_ENDS, values):
-            assert type(fn(v)) is float and c == fn(v)
+        assert p == dist.interval_prob(float(lo[i, j]), float(hi[i, j]))
+    values = dist.cdf_below(np.array(_ENDS))
+    for v, c in zip(_ENDS, values):
+        assert c == dist.cdf_below(v)
 
 
 def test_discrete_validation():
@@ -84,6 +79,26 @@ def test_discrete_validation():
         pg.Gaussian(0.0)
     with pytest.raises(ValidationError):
         pg.Uniform(-1.0)
+
+
+@pytest.mark.parametrize(
+    "make, scale",
+    [(pg.Gaussian, 1.5e308), (pg.Gaussian, 1e-320), (pg.Uniform, 1e308), (pg.Uniform, 1e-320)],
+)
+def test_scales_whose_cdf_would_overflow_are_rejected(make, scale):
+    # sigma*sqrt(2) or 2*half_width overflows, or its reciprocal does: the
+    # CDF would read nan or 0.5 at every end, or overflow in its division.
+    with pytest.raises(ValidationError, match="reciprocal finite"):
+        make(scale)
+
+
+@pytest.mark.parametrize("dist", [pg.Gaussian(1e308), pg.Gaussian(1e-300), pg.Uniform(8e307)])
+def test_extreme_accepted_scales_give_a_cdf(dist):
+    ends = np.array([-np.inf, -1.0, 0.0, 1.0, np.inf])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values = dist.cdf_below(ends)
+    assert values[0] == 0.0 and values[2] == 0.5 and values[-1] == 1.0
+    assert (np.diff(values) >= 0).all()
 
 
 def test_sampling_degenerate_discrete():
@@ -135,7 +150,7 @@ def test_discrete_generalized_inverse():
 @pytest.mark.parametrize("dist", [pg.Gaussian(1.0), pg.Gaussian(0.2), pg.Uniform(2.0)])
 def test_continuous_round_trip(dist):
     grid = np.concatenate(([1e-6], np.linspace(0.001, 0.999, 999), [1.0 - 1e-6]))
-    assert dist.cdf(dist.inv_cdf_n(grid)) == pytest.approx(grid, abs=1e-8)
+    assert dist.cdf_below(dist.inv_cdf_n(grid)) == pytest.approx(grid, abs=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -148,11 +163,10 @@ def test_cdf_monotone_on_dense_grid(dist):
     # cdf_below to be non-decreasing on every such array.
     special = [-np.inf, np.inf, -1.5, 1.5, -1.0, 0.5]
     grid = np.sort(np.concatenate((np.linspace(-6.0, 6.0, 10_000), special, special)))
-    for fn in (dist.cdf, dist.cdf_below):
-        values = fn(grid)
-        assert (np.diff(values) >= 0).all()
-        assert values.min() >= 0.0 and values.max() <= 1.0
-        assert values[0] == 0.0 and values[-1] == 1.0
+    values = dist.cdf_below(grid)
+    assert (np.diff(values) >= 0).all()
+    assert values.min() >= 0.0 and values.max() <= 1.0
+    assert values[0] == 0.0 and values[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +265,7 @@ def test_spec_from_config_per_feature():
     assert spec.distribution_for(0) == pg.Uniform(1.0)
     with pytest.raises(ValidationError):
         spec.distribution_for(1)
-    assert spec.distribution_for(2).cdf(0.0) == 0.5
+    assert spec.distribution_for(2).cdf_below(0.0) == 0.5
 
 
 def test_spec_from_config_length_mismatch():
