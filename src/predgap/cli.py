@@ -222,21 +222,37 @@ def _init_bench_worker(payload: dict) -> None:
     _BENCH = payload
 
 
+def _sampler_query(ensemble: TreeEnsemble, x: np.ndarray, S: tuple[int, ...]):
+    """The model, point and features the sampler calls of the pair (x, S) take.
+
+    For a non-empty S these are the ensemble conditioned on x over S's
+    columns, ``x[S]`` and all of its columns.  At full width ``_conditioned``
+    returns the ensemble itself, so each call draws and walks exactly as on
+    (ensemble, x, S) without building the conditioned ensemble again.  An
+    empty S keeps (ensemble, x, S), whose estimate is 0.0.
+    """
+    if not S:
+        return ensemble, x, S
+    return ensemble._conditioned(x, S), x[list(S)], range(len(S))
+
+
 def _bench_task(task):
     """One pair's exact PG2 (``config`` None), its QMC estimate at every grid
     count (``config`` "qmc"), or one seeded MC estimate."""
     sigma_idx, pair_idx, config, rep = task
     ctx = _BENCH
     pair = ctx["pairs"][pair_idx]
-    x = ctx["dataset"].instance(pair.instance_index)
     spec = ctx["specs"][sigma_idx]
     if config is None:
+        x = ctx["dataset"].instance(pair.instance_index)
         return pg2_exact(ctx["ensemble"], x, pair.feature_set, spec)
+    model, point, features = ctx["queries"][pair_idx]
+    spec = PerturbationSpec(per_feature=tuple(spec.distribution_for(q) for q in pair.feature_set))
     if config == "qmc":
-        return pg2_sampled_prefixes(ctx["ensemble"], x, pair.feature_set, spec, ctx["grid"])
+        return pg2_sampled_prefixes(model, point, features, spec, ctx["grid"])
     entropy = [ctx["seed"], sigma_idx, config.iterations, rep, pair_idx]
     seed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-    return pg2_sampled(ctx["ensemble"], x, pair.feature_set, spec, replace(config, seed=seed))
+    return pg2_sampled(model, point, features, spec, replace(config, seed=seed))
 
 
 def run_benchmark(
@@ -277,9 +293,14 @@ def run_benchmark(
         )
     pair_list = sample_pairs(dataset, ensemble.num_features, pairs, seed=seed, sizes=sizes)
     specs = [PerturbationSpec.gaussian(s, ensemble.num_features) for s in sigmas]
+    # Built before the pool starts, so fork workers share the conditioned ensembles.
+    queries = [
+        _sampler_query(ensemble, dataset.instance(p.instance_index), p.feature_set)
+        for p in pair_list
+    ]
     payload = dict(
         ensemble=ensemble, dataset=dataset, pairs=pair_list, specs=specs, seed=seed,
-        grid=iteration_grid,
+        grid=iteration_grid, queries=queries,
     )
     # A fork pool starts all its workers at once; more than one per pair idles.
     workers = min(workers, pairs)

@@ -95,11 +95,12 @@ def xi_random(
     randomized = [j for j in range(d) if j not in keep_set]
     if not randomized:
         return ensemble.predict(vec)
-    # One column per randomized feature; the ensemble conditioned on x fixes the rest.
-    X = np.empty((samples, len(randomized)))
+    # One column per randomized feature; the ensemble conditioned on x fixes
+    # the rest.  The draws are stored feature-major, so X.T is F-contiguous.
+    X = np.empty((len(randomized), samples))
     for j, q in enumerate(randomized):
-        X[:, j] = dataset.values[rng.integers(dataset.num_instances, size=samples), q]
-    return float(np.mean(ensemble._conditioned(vec, randomized).predict_batch(X)))
+        X[j] = dataset.values[rng.integers(dataset.num_instances, size=samples), q]
+    return float(np.mean(ensemble._conditioned(vec, randomized).predict_batch(X.T)))
 
 
 def randomization_rmse(

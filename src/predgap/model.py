@@ -119,22 +119,30 @@ class Tree:
     def leaf_count(self) -> int:
         return int(np.count_nonzero(self.feature < 0))
 
-    def leaves(self, flat: np.ndarray, row_offset: np.ndarray) -> np.ndarray:
-        """The leaf each row reaches; row r's features start at ``flat[row_offset[r]]``.
+    def leaves(self, flat: np.ndarray, rows: np.ndarray) -> np.ndarray | int:
+        """The leaf each row reaches; row r's feature q is ``flat[q * n + r]``.
 
-        One level moves every row one step down ``child``, with no mask: a
-        row on a leaf reads ``flat[row_offset[r] - 1]`` (numpy wraps row 0's
-        read to the last element), and the leaf's self-loop discards the
-        comparison.  Rows that all sit on leaves stop the walk early.  That
-        can only happen at or below the shallowest leaf, so only those levels
-        check.
+        ``flat`` holds the n rows column by column (feature-major) and
+        ``rows`` is ``np.arange(n)``.  The walk starts at the root as the
+        scalar 0: level 1 compares one column against the root's threshold,
+        and a single-leaf tree returns 0 without reading ``flat``.  Each
+        further level moves every row one step down ``child``, with no mask:
+        a row on a leaf reads ``flat[-n + r]`` (the last column's row r), and
+        the leaf's self-loop discards the comparison.  Rows that all sit on
+        leaves stop the walk early.  That can only happen at or below the
+        shallowest leaf, so only those levels check.
         """
+        if self.max_depth == 0:
+            return 0
         child, feature, threshold = self.child, self.feature, self.threshold
-        idx = np.zeros(row_offset.size, dtype=np.int64)
-        for level in range(1, self.max_depth + 1):
-            idx = child[2 * idx + (flat[row_offset + feature[idx]] < threshold[idx])]
-            if self.shallowest_leaf <= level < self.max_depth and (feature[idx] < 0).all():
+        n = rows.size
+        start = int(feature[0]) * n
+        # child[0] and child[1] are the root's right and left children.
+        idx = child[(flat[start:start + n] < threshold[0]).view(np.uint8)]
+        for level in range(2, self.max_depth + 1):
+            if self.shallowest_leaf < level and (feature[idx] < 0).all():
                 break
+            idx = child[2 * idx + (flat[feature[idx] * n + rows] < threshold[idx])]
         return idx
 
     def __setstate__(self, state) -> None:
@@ -248,7 +256,13 @@ class TreeEnsemble:
         return float(sum(boxes.value[boxes.holds(vec).all(axis=1)].tolist()))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """The sum, in tree order, of the values of the leaves each row reaches."""
+        """The sum, in tree order, of the values of the leaves each row reaches.
+
+        The trees walk X column by column (``Tree.leaves``), so an
+        F-contiguous X is read in place and any other layout is copied once.
+        Each tree's walk starts from a scalar root, and a single-leaf tree
+        adds its value to every row as a scalar.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.num_features:
             raise ValidationError(
@@ -256,11 +270,11 @@ class TreeEnsemble:
             )
         if not np.isfinite(X).all():
             raise ValidationError("feature matrix contains non-finite entries")
-        flat = np.ascontiguousarray(X).ravel()
-        row_offset = np.arange(0, flat.size, self.num_features)
+        flat = np.asfortranarray(X).ravel(order="F")
+        rows = np.arange(X.shape[0])
         out = np.zeros(X.shape[0], dtype=np.float64)
         for tree in self.trees:
-            out += tree.value[tree.leaves(flat, row_offset)]
+            out += tree.value[tree.leaves(flat, rows)]
         return out
 
     def _conditioned(self, vec: np.ndarray, feats) -> TreeEnsemble:

@@ -65,7 +65,10 @@ class Gaussian(Distribution):
             )
 
     def cdf_below(self, v: np.ndarray) -> np.ndarray:
-        return 0.5 * (1.0 + erf(np.divide(v, self.sigma * _SQRT2)))
+        # A quotient past the float range is +-inf, where erf is exactly +-1.
+        with np.errstate(over="ignore"):
+            z = np.divide(v, self.sigma * _SQRT2)
+        return 0.5 * (1.0 + erf(z))
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         return self.sigma * ndtri(u)

@@ -8,7 +8,10 @@ inverse CDF.  No variance-reduction tricks on purpose.
 Every draw equals x outside the perturbed set S, so a query samples only S's
 columns and walks the ensemble conditioned on x (``TreeEnsemble._conditioned``),
 whose trees keep only the splits on S.  The predictions are the ones the full
-ensemble gives on the full perturbed inputs, bit for bit.
+ensemble gives on the full perturbed inputs, bit for bit.  The draws are made
+and stored feature-major, one contiguous row of n values per feature of S, and
+handed to ``predict_batch`` as an F-contiguous (n, |S|) view, which its
+column-major walk reads without a copy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericDomainError, ValidationError
 from .exact import _check_query
 from .model import TreeEnsemble, _as_index, _as_seed
 from .perturb import PerturbationSpec, halton_matrix
@@ -50,19 +53,27 @@ def perturbed_inputs(
     ascending ``feats``; the features outside S keep ``vec``'s values and get
     no column.  MC draws the features in that order from one seeded
     generator.  QMC assigns Halton coordinate j to column j and ignores the
-    seed; the sequence is deterministic.
+    seed; the sequence is deterministic.  The draws are laid out feature by
+    feature, and the matrix is an F-contiguous view of them, which
+    ``predict_batch`` walks without a copy.  A perturbed value beyond the
+    float range raises ``NumericDomainError``.
     """
     n = config.iterations
-    X = np.tile(vec[list(feats)], (n, 1))
+    X = np.empty((len(feats), n))
     if config.method == "mc":
         rng = np.random.default_rng(config.seed)
-        for j, q in enumerate(feats):
-            X[:, j] += spec.distribution_for(q).sample_n(rng, n)
     else:
         U = halton_matrix(n, len(feats))
+    with np.errstate(over="ignore"):
         for j, q in enumerate(feats):
-            X[:, j] += spec.distribution_for(q).inv_cdf_n(U[:, j])
-    return X
+            dist = spec.distribution_for(q)
+            delta = dist.sample_n(rng, n) if config.method == "mc" else dist.inv_cdf_n(U[:, j])
+            np.add(vec[q], delta, out=X[j])
+            if not np.isfinite(X[j]).all():
+                raise NumericDomainError(
+                    f"perturbed feature {q} leaves the float range; lower its noise scale"
+                )
+    return X.T
 
 
 def _sampled_gaps(ensemble, x, features, spec, config):

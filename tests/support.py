@@ -128,6 +128,24 @@ def walk_oracle(ensemble, X) -> np.ndarray:
     return out
 
 
+def perturbed_inputs_oracle(vec, feats, spec, config) -> np.ndarray:
+    """``sampling.perturbed_inputs`` built row-major: n copies of ``vec[feats]``,
+    to whose column j feature ``feats[j]``'s noise is added, feature by
+    feature (MC draws from one generator, or Halton coordinate j through the
+    inverse CDF)."""
+    n = config.iterations
+    X = np.tile(vec[list(feats)], (n, 1))
+    if config.method == "mc":
+        rng = np.random.default_rng(config.seed)
+        for j, q in enumerate(feats):
+            X[:, j] += spec.distribution_for(q).sample_n(rng, n)
+    else:
+        U = pg.halton_matrix(n, len(feats))
+        for j, q in enumerate(feats):
+            X[:, j] += spec.distribution_for(q).inv_cdf_n(U[:, j])
+    return X
+
+
 def full_width_squared_gaps(ensemble, x, features, spec, config) -> np.ndarray:
     """The squared gaps behind ``pg2_sampled``, from the whole ensemble on
     n full copies of x: each perturbed feature, in ascending order, adds its

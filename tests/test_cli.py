@@ -340,6 +340,33 @@ def test_benchmark_report_equals_the_per_size_oracle():
         assert report == benchmark_report_oracle(ens, data, repetitions=repetitions, **run)
 
 
+def test_benchmark_builds_one_conditioned_ensemble_per_pair(monkeypatch):
+    # the samplers of each pair walk one x-conditioned ensemble, built before
+    # any task runs, and give the per-call report of the full ensemble
+    import predgap.cli as cli_mod
+
+    builds = []
+    real = pg.TreeEnsemble._conditioned
+
+    def counted(self, vec, feats):
+        cond = real(self, vec, feats)
+        if cond is not self:
+            builds.append(tuple(feats))
+        return cond
+
+    monkeypatch.setattr(pg.TreeEnsemble, "_conditioned", counted)
+    rng = np.random.default_rng(13)
+    ens = random_ensemble(rng, num_features=4, num_trees=5, max_depth=4)
+    data = pg.Dataset(values=rng.normal(size=(6, 4)).tolist(), feature_names=tuple("abcd"))
+    run = dict(sigmas=[0.3, 1.0], iteration_grid=[40, 7], pairs=9, seed=5, sizes=[0, 2, 1, 3])
+    pairs = pg.sample_pairs(data, 4, run["pairs"], seed=run["seed"], sizes=run["sizes"])
+    for workers in (1, 2):
+        builds.clear()
+        report = cli_mod.run_benchmark(ens, data, workers=workers, repetitions=2, **run)
+        assert builds == [p.feature_set for p in pairs if p.feature_set]
+        assert report == benchmark_report_oracle(ens, data, repetitions=2, **run)
+
+
 def test_eval_pgi2_matches_library(workdir, capsys):
     rc = main(
         ["eval", *_model_arg(workdir), "--method", "greedy-pg2", "--sigma-rank", "1.0",
@@ -597,6 +624,18 @@ def test_exit_code_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["pg2", "--bogus-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("method", ["mc", "qmc"])
+def test_noise_beyond_the_float_range_exits_4(workdir, capsys, method):
+    # sigma = 1e308 is a valid Gaussian, but x + noise overflows for some
+    # draws: the samplers name the feature and raise no overflow warning
+    rc = main(["pg2", *_model_arg(workdir), "--point-index", "0", "--features", "0",
+               "--sigma", "1e308", "--method", method, "--iterations", "500"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("pg2: error: perturbed feature 0 ")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_exit_code_numeric_domain(workdir, monkeypatch, capsys):

@@ -160,7 +160,9 @@ def test_predict_batch_matches_walk_oracle():
         assert not strided.flags.c_contiguous
         assert np.array_equal(ens.predict_batch(strided), want)
         assert np.array_equal(ens.predict_batch(np.repeat(X, 2, axis=1)[:, ::2]), want)
-        assert ens.predict_batch(np.empty((0, 4))).shape == (0,)
+        for n in (0, 1, 5):
+            got = ens.predict_batch(X[:n])
+            assert got.shape == (n,) and np.array_equal(got, want[:n])
 
 
 class _CountingRows(np.ndarray):
@@ -175,8 +177,8 @@ class _CountingRows(np.ndarray):
 
 def _levels_walked(tree, X):
     _CountingRows.reads = 0
-    flat = np.ascontiguousarray(X, dtype=np.float64).ravel().view(_CountingRows)
-    tree.leaves(flat, np.arange(0, flat.size, X.shape[1]))
+    flat = np.asfortranarray(X, dtype=np.float64).ravel(order="F").view(_CountingRows)
+    tree.leaves(flat, np.arange(X.shape[0]))
     return _CountingRows.reads
 
 

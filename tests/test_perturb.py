@@ -101,6 +101,11 @@ def test_extreme_accepted_scales_give_a_cdf(dist):
     assert (np.diff(values) >= 0).all()
 
 
+def test_gaussian_cdf_beyond_the_quotient_range_is_silent():
+    # v / (sigma*sqrt(2)) overflows to +-inf, where erf is exactly +-1
+    assert pg.Gaussian(1e-300).cdf_below(np.array([-1e10, 1e10])).tolist() == [0.0, 1.0]
+
+
 def test_sampling_degenerate_discrete():
     d = pg.Discrete(points=((0.0, 1.0),))
     rng = np.random.default_rng(0)

@@ -11,6 +11,7 @@ from support import (
     canonical_ensemble,
     full_width_squared_gaps,
     lattice_point,
+    perturbed_inputs_oracle,
     random_discrete,
     random_ensemble,
 )
@@ -116,6 +117,35 @@ def test_qmc_multifeature_assignment_is_ascending():
     assert np.allclose(X[:, 0], g.inv_cdf_n(U[:, 0]))
     assert np.allclose(X[:, 1], g.inv_cdf_n(U[:, 1]))
     assert np.allclose(X[:, 2], g.inv_cdf_n(U[:, 2]))
+
+
+def test_perturbed_inputs_equal_the_row_major_oracle():
+    # the draws are made feature by feature into a (|S|, n) array and handed
+    # out as its F-contiguous transpose, with the values of n tiled rows
+    from predgap.sampling import perturbed_inputs
+
+    rng = np.random.default_rng(33)
+    d = 6
+    specs = [
+        pg.PerturbationSpec.gaussian(0.7, d),
+        pg.PerturbationSpec(per_feature=(pg.Uniform(0.9),) * d),
+        pg.PerturbationSpec(per_feature=tuple(random_discrete(rng) for _ in range(d))),
+        pg.PerturbationSpec(per_feature=(
+            pg.Gaussian(0.3), pg.Uniform(2.0), random_discrete(rng), pg.Gaussian(5.0),
+            random_discrete(rng), pg.Uniform(0.1),
+        )),
+    ]
+    for spec in specs:
+        for feats in ((2,), (0, 3, 5), tuple(range(d))):
+            x = lattice_point(rng, d)
+            for n in (1, 7, 300):
+                for config in (
+                    pg.EstimatorConfig("mc", n, seed=int(rng.integers(1 << 32))),
+                    pg.EstimatorConfig("qmc", n),
+                ):
+                    X = perturbed_inputs(x, feats, spec, config)
+                    assert X.shape == (n, len(feats)) and X.flags.f_contiguous
+                    assert np.array_equal(X, perturbed_inputs_oracle(x, feats, spec, config))
 
 
 def test_estimators_equal_the_full_width_walk_bit_for_bit():
