@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -424,12 +426,18 @@ def cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a formatter, which reads the terminal size, on every
+    # add_argument; one width read here, as HelpFormatter reads it, gives
+    # every parser the same text.
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="pg2",
         description="Exact and sampled squared prediction gaps for tree ensembles.",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, formatter_class=formatter)
 
     def add_common(p):
         p.add_argument("--model", required=True, help="canonical model JSON")
@@ -440,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated columns (e.g. categorical ones) to drop",
         )
 
-    p = sub.add_parser("pg2", help="compute one squared prediction gap")
+    p = add_parser("pg2", help="compute one squared prediction gap")
     add_common(p)
     p.add_argument("--point-index", type=int, required=True)
     p.add_argument("--features", default="", help="comma-separated feature indices (empty = none)")
@@ -451,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_pg2)
 
-    p = sub.add_parser("rank", help="write per-instance feature rankings as CSV")
+    p = add_parser("rank", help="write per-instance feature rankings as CSV")
     add_common(p)
     p.add_argument("--method", choices=["greedy-pg2", "from-attribution"], default="greedy-pg2")
     p.add_argument("--sigma", type=float, default=None)
@@ -460,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("benchmark", help="NMAE of samplers against the exact algorithm")
+    p = add_parser("benchmark", help="NMAE of samplers against the exact algorithm")
     add_common(p)
     p.add_argument("--sigmas", default="0.1,0.3,1.0")
     p.add_argument(
@@ -478,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", default=None, help="also write plot-ready CSV")
     p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("eval", help="aggregate PGI2 or randomization RMSE for rankings")
+    p = add_parser("eval", help="aggregate PGI2 or randomization RMSE for rankings")
     add_common(p)
     p.add_argument("--rankings", default=None, help="CSV of per-instance permutations")
     p.add_argument("--method", choices=["greedy-pg2"], default=None)
@@ -491,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmse-against", choices=["prediction", "labels"], default="prediction")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("convert-model", help="convert an XGBoost JSON dump to the canonical format")
+    p = add_parser("convert-model", help="convert an XGBoost JSON dump to the canonical format")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--num-features", type=int, default=None)

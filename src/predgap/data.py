@@ -58,6 +58,10 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
     Returns ``(dataset, labels)`` where labels is None unless a label column
     was named; the label column and any ``exclude`` columns (e.g. categorical
     ones, which are never dropped automatically) stay out of the features.
+    Each cell is read with Python's ``float``.  The rows are converted in one
+    pass and the matrix is built once; a ragged row or a non-numeric cell
+    makes a second, row-by-row scan raise the ``FormatError`` of the first
+    one in file order.
     """
     reader = csv.reader(io.StringIO(read_text(path, "data"), newline=""))
     try:
@@ -78,17 +82,15 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
 
     # The label, if any, is read as one more column after the features.
     columns = feature_cols + ([label_idx] if label_idx is not None else [])
-    table = np.empty((len(rows) - 1, len(columns)), dtype=np.float64)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: line {r} has {len(row)} cells, expected {len(header)}")
-        for out_j, j in enumerate(columns):
-            try:
-                table[r - 2, out_j] = float(row[j])
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {r}, column {header[j]!r}: non-numeric cell {row[j]!r}"
-                ) from None
+    body = rows[1:]
+    try:
+        if any(len(row) != len(header) for row in body):
+            raise ValueError  # a ragged row, which the scan below names
+        cells = [row[j] for row in body for j in columns]
+        table = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        _raise_first_bad_row(path, header, columns, body)
+    table = table.reshape(len(body), len(columns))
     matrix = table[:, : len(feature_cols)]
     labels = None
     if label_idx is not None:
@@ -100,6 +102,20 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
             )
     dataset = Dataset(values=matrix, feature_names=tuple(header[j] for j in feature_cols))
     return dataset, labels
+
+
+def _raise_first_bad_row(path, header, columns, body) -> None:
+    """Raise the FormatError of the first ragged row or non-numeric cell, in file order."""
+    for r, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: line {r} has {len(row)} cells, expected {len(header)}")
+        for j in columns:
+            try:
+                float(row[j])
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {r}, column {header[j]!r}: non-numeric cell {row[j]!r}"
+                ) from None
 
 
 def sample_pairs(

@@ -12,6 +12,7 @@ from .exact import pg2_exact
 from .model import TreeEnsemble, _as_index, _as_seed, as_feature_vector
 from .perturb import PerturbationSpec
 from .ranking import Ranking
+from .sampling import _draw_matrix
 
 
 def pgi2(ensemble: TreeEnsemble, x, ranking: Ranking, spec: PerturbationSpec) -> float:
@@ -72,7 +73,8 @@ def xi_random(
 
     Features outside ``keep`` are resampled independently (with replacement)
     from the dataset's corresponding column; features in ``keep`` stay fixed
-    at the value in ``x``.  The draws come from ``np.random.default_rng(seed)``.
+    at the value in ``x``.  The draws come from ``np.random.default_rng(seed)``;
+    a sample count whose draws cannot be allocated raises ``ValidationError``.
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = _as_seed(seed)
@@ -97,7 +99,7 @@ def xi_random(
         return ensemble.predict(vec)
     # One column per randomized feature; the ensemble conditioned on x fixes
     # the rest.  The draws are stored feature-major, so X.T is F-contiguous.
-    X = np.empty((len(randomized), samples))
+    X = _draw_matrix(len(randomized), samples, "sample count")
     for j, q in enumerate(randomized):
         X[j] = dataset.values[rng.integers(dataset.num_instances, size=samples), q]
     return float(np.mean(ensemble._conditioned(vec, randomized).predict_batch(X.T)))

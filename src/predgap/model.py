@@ -126,23 +126,41 @@ class Tree:
         ``rows`` is ``np.arange(n)``.  The walk starts at the root as the
         scalar 0: level 1 compares one column against the root's threshold,
         and a single-leaf tree returns 0 without reading ``flat``.  Each
-        further level moves every row one step down ``child``, with no mask:
-        a row on a leaf reads ``flat[-n + r]`` (the last column's row r), and
-        the leaf's self-loop discards the comparison.  Rows that all sit on
-        leaves stop the walk early.  That can only happen at or below the
-        shallowest leaf, so only those levels check.
+        further level moves every row one step down ``child``, with no mask,
+        through ``take`` gathers into buffers allocated once per call: a
+        per-call table ``feature * n`` gives each node's column offset, and a
+        row on a leaf reads ``flat[-n + r]`` (the last column's row r), which
+        the leaf's self-loop discards.  Rows that all sit on leaves stop the
+        walk early.  That can only happen at or below the shallowest leaf, so
+        only those levels check, on the offsets (negative exactly at leaves).
         """
         if self.max_depth == 0:
             return 0
-        child, feature, threshold = self.child, self.feature, self.threshold
+        child, threshold = self.child, self.threshold
         n = rows.size
-        start = int(feature[0]) * n
+        start = int(self.feature[0]) * n
         # child[0] and child[1] are the root's right and left children.
         idx = child[(flat[start:start + n] < threshold[0]).view(np.uint8)]
+        if self.max_depth == 1:
+            return idx
+        offset = self.feature * n
+        pos = np.empty(n, dtype=np.int64)
+        value = np.empty(n)
+        cut = np.empty(n)
+        go_left = np.empty(n, dtype=bool)
+        # mode="wrap" reads a negative position as indexing does, and spares
+        # the copy of ``out`` that the default mode="raise" makes.
         for level in range(2, self.max_depth + 1):
-            if self.shallowest_leaf < level and (feature[idx] < 0).all():
+            offset.take(idx, out=pos, mode="wrap")
+            if self.shallowest_leaf < level and (pos < 0).all():
                 break
-            idx = child[2 * idx + (flat[feature[idx] * n + rows] < threshold[idx])]
+            pos += rows
+            flat.take(pos, out=value, mode="wrap")
+            threshold.take(idx, out=cut, mode="wrap")
+            np.less(value, cut, out=go_left)
+            np.multiply(idx, 2, out=pos)
+            pos += go_left
+            child.take(pos, out=idx, mode="wrap")
         return idx
 
     def __setstate__(self, state) -> None:

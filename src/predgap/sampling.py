@@ -8,10 +8,12 @@ inverse CDF.  No variance-reduction tricks on purpose.
 Every draw equals x outside the perturbed set S, so a query samples only S's
 columns and walks the ensemble conditioned on x (``TreeEnsemble._conditioned``),
 whose trees keep only the splits on S.  The predictions are the ones the full
-ensemble gives on the full perturbed inputs, bit for bit.  The draws are made
-and stored feature-major, one contiguous row of n values per feature of S, and
-handed to ``predict_batch`` as an F-contiguous (n, |S|) view, which its
-column-major walk reads without a copy.
+ensemble gives on the full perturbed inputs, bit for bit, and f(x) is the
+conditioned walk of the single row ``x[S]``, so a query builds no leaf boxes.
+The draws are made and stored feature-major, one contiguous row of n values
+per feature of S, and handed to ``predict_batch`` as an F-contiguous (n, |S|)
+view, which its column-major walk reads without a copy.  A draw count whose
+matrix cannot be allocated raises ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,20 @@ class EstimatorConfig:
         _as_seed(self.seed)
 
 
+def _draw_matrix(columns: int, count: int, what: str) -> np.ndarray:
+    """An uninitialized (columns, count) float matrix for ``count`` draws.
+
+    A count whose matrix is too big for numpy or for memory raises
+    ``ValidationError`` naming it, before any draw is made.
+    """
+    try:
+        return np.empty((columns, count))
+    except (ValueError, MemoryError):  # "array is too big", or out of memory
+        raise ValidationError(
+            f"{what} {count} is too large: its draws cannot be allocated"
+        ) from None
+
+
 def perturbed_inputs(
     vec: np.ndarray, feats: tuple[int, ...], spec: PerturbationSpec, config: EstimatorConfig
 ) -> np.ndarray:
@@ -59,7 +75,7 @@ def perturbed_inputs(
     float range raises ``NumericDomainError``.
     """
     n = config.iterations
-    X = np.empty((len(feats), n))
+    X = _draw_matrix(len(feats), n, "iterations")
     if config.method == "mc":
         rng = np.random.default_rng(config.seed)
     else:
@@ -77,12 +93,20 @@ def perturbed_inputs(
 
 
 def _sampled_gaps(ensemble, x, features, spec, config):
+    """f(x') - f(x) for each draw x', or None for an empty S.
+
+    Both predictions come from the ensemble conditioned on x: f(x) is its
+    walk of the one row ``x[S]``, which reaches the leaves x reaches and sums
+    them in the same tree order as ``ensemble.predict(x)``, bit for bit,
+    without building the full ensemble's leaf boxes.
+    """
     vec, feats, _ = _check_query(ensemble, x, features, spec)
     if not feats:
         return None
-    c = ensemble.predict(vec)
     X = perturbed_inputs(vec, feats, spec, config)
-    return ensemble._conditioned(vec, feats).predict_batch(X) - c
+    conditioned = ensemble._conditioned(vec, feats)
+    c = conditioned.predict_batch(vec[None, feats])[0]
+    return conditioned.predict_batch(X) - c
 
 
 def pg2_sampled(

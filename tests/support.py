@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
 import predgap as pg
@@ -182,6 +185,23 @@ def full_width_xi_random(ensemble, x, keep, dataset, samples, seed) -> float:
     for q in randomized:
         X[:, q] = dataset.values[rng.integers(dataset.num_instances, size=samples), q]
     return float(np.mean(ensemble.predict_batch(X)))
+
+
+def load_csv_oracle(text, label_column=None, exclude=()):
+    """``load_csv``'s values and labels, read cell by cell with ``float``: the
+    feature columns are every column but the label and ``exclude`` ones, named
+    by the stripped header cells."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    header = [name.strip() for name in rows[0]]
+    features = [j for j, name in enumerate(header) if name != label_column and name not in exclude]
+    values = np.empty((len(rows) - 1, len(features)))
+    labels = None if label_column is None else np.empty(len(rows) - 1)
+    for r, row in enumerate(rows[1:]):
+        for k, j in enumerate(features):
+            values[r, k] = float(row[j])
+        if labels is not None:
+            labels[r] = float(row[header.index(label_column)])
+    return values, labels
 
 
 def radical_inverse(index: int, base: int) -> float:

@@ -1,5 +1,6 @@
 """The pg2 command line: outputs, determinism, and exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import predgap as pg
-from predgap.cli import format_value, main, report_to_json
+from predgap.cli import build_parser, format_value, main, report_to_json
 from predgap.errors import NumericDomainError, exit_code_for
 
 from support import benchmark_report_oracle, canonical_ensemble, leaf, random_ensemble
@@ -476,6 +477,32 @@ _LABELS = ["eval", "--label-column", "y", "--metric", "randomize-rmse", "--rmse-
            "labels", "--method", "greedy-pg2", "--sigma-rank", "1.0", "--k", "1"]
 _GREEDY = ["eval", "--method", "greedy-pg2", "--sigma-rank", "0.5"]
 _RMSE = [*_GREEDY, "--metric", "randomize-rmse"]
+# Draw counts whose matrices cannot be allocated: 2**62 draws are past
+# numpy's array size limit, and a file named _NO_MEMORY makes np.empty raise
+# MemoryError, as numpy does past the machine's memory, for 10**11 draws.
+# Either fails before any memory is reserved.
+_NO_MEMORY = "no-memory"
+_TOO_MANY = 10 ** 11
+_OVERSIZED_IDS = ["mc-iterations", "qmc-iterations", "iteration-grid", "rmse-samples"]
+
+
+def _oversized(count):
+    count = str(count)
+    return [
+        [*_PG2, "--method", "mc", "--iterations", count],
+        [*_PG2, "--method", "qmc", "--iterations", count],
+        [*_BENCH, "--iteration-grid", count],
+        [*_RMSE, "--k", "1", "--samples", count],
+    ]
+
+
+def _empty_without_memory(empty):
+    def fake(shape, *args, **kwargs):
+        if _TOO_MANY in np.ravel(shape):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    return fake
 
 
 @pytest.mark.parametrize(
@@ -559,6 +586,8 @@ _RMSE = [*_GREEDY, "--metric", "randomize-rmse"]
         ("model.json", '{"num_features": 2, "trees": []}', _PG2),
         ("dist.json", '{"kind": "discrete", "points": []}', _DIST),
         ("dist.json", '{"kind": "discrete", "points": [[Infinity, 1.0]]}', _DIST),
+        *(("unused", "", argv) for argv in _oversized(2 ** 62)),
+        *((_NO_MEMORY, "", argv) for argv in _oversized(_TOO_MANY)),
     ],
     ids=["non-integer-ranking", "missing-sigma", "missing-half-width", "non-numeric-sigma",
          "one-element-point", "huge-leaf-value", "over-long-integer", "huge-xgboost-leaf",
@@ -579,9 +608,13 @@ _RMSE = [*_GREEDY, "--metric", "randomize-rmse"]
          "pgi2-without-sigma-metric", "randomize-rmse-without-k", "randomize-rmse-k-above-d",
          "labels-rmse-without-label-column", "zero-repetitions", "non-integer-features",
          "non-numeric-sigmas", "size-above-d", "every-column-excluded", "ragged-csv-row",
-         "zero-feature-model", "treeless-model", "pointless-discrete", "infinite-discrete-offset"],
+         "zero-feature-model", "treeless-model", "pointless-discrete", "infinite-discrete-offset",
+         *("oversized-" + i for i in _OVERSIZED_IDS),
+         *("unallocatable-" + i for i in _OVERSIZED_IDS)],
 )
-def test_malformed_inputs_exit_3(workdir, capsys, name, content, argv):
+def test_malformed_inputs_exit_3(workdir, capsys, monkeypatch, name, content, argv):
+    if name == _NO_MEMORY:
+        monkeypatch.setattr(np, "empty", _empty_without_memory(np.empty))
     path = workdir / name
     if isinstance(content, bytes):
         path.write_bytes(content)
@@ -624,6 +657,22 @@ def test_exit_code_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["pg2", "--bogus-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_text_equals_the_default_formatters(monkeypatch, columns):
+    # build_parser reads the terminal width once and hands it to every
+    # parser; each text equals what argparse's default HelpFormatter, which
+    # reads the width on every call, makes of the same parser
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = [parser, *commands.choices.values()]
+    assert list(commands.choices) == ["pg2", "rank", "benchmark", "eval", "convert-model"]
+    shared = [(p.format_help(), p.format_usage()) for p in parsers]
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert [(p.format_help(), p.format_usage()) for p in parsers] == shared
 
 
 @pytest.mark.parametrize("method", ["mc", "qmc"])

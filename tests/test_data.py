@@ -6,6 +6,8 @@ import pytest
 import predgap as pg
 from predgap.errors import FormatError, ValidationError
 
+from support import load_csv_oracle
+
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -47,6 +49,52 @@ def test_load_csv_missing_header(tmp_path):
     path = _write(tmp_path, "")
     with pytest.raises(FormatError, match="header"):
         pg.load_csv(path)
+
+
+def _assert_same_floats(got, want):
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_load_csv_equals_the_per_cell_float_oracle(tmp_path):
+    # exponents, underscores, padded cells, signed zeros, a label column and
+    # excluded columns, read as Python's float reads each cell
+    text = (
+        " a , color,b,y ,skip\n"
+        "1e3, red,-0,0.5,x\n"
+        " -2.5E-3 ,blue,1_000.25, -0 ,y\n"
+        "+7,green,  .5e+2  ,1_0,z\n"
+        "-0.0,red,1E308,-1e-320,w\n"
+    )
+    path = _write(tmp_path, text)
+    cases = ((None, ["color", "skip"]), ("y", ["color", "skip"]), ("y", ["skip", "color", "a"]))
+    for label, exclude in cases:
+        data, labels = pg.load_csv(path, label_column=label, exclude=exclude)
+        values, want = load_csv_oracle(text, label, exclude)
+        _assert_same_floats(data.values, values)
+        if label is None:
+            assert labels is None
+        else:
+            _assert_same_floats(labels, want)
+    data, _ = pg.load_csv(_write(tmp_path, "a,b\n"))
+    assert data.values.shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1,2\n1,x\n1\n", "line 3, column 'b': non-numeric cell 'x'"),
+        ("a,b\n1,2\n1\n1,x\n", "line 3 has 1 cells, expected 2"),
+        ("a,b\n1,2,3\n1,x\n", "line 2 has 3 cells, expected 2"),
+        ("a,b\n1,2\n 2 ,\n", "line 3, column 'b': non-numeric cell ''"),
+    ],
+    ids=["bad-cell-before-ragged-row", "ragged-row-before-bad-cell", "long-row-first",
+         "empty-cell"],
+)
+def test_load_csv_raises_the_first_error_in_file_order(tmp_path, text, message):
+    path = _write(tmp_path, text)
+    with pytest.raises(FormatError) as info:
+        pg.load_csv(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_sample_pairs_size_cycle():

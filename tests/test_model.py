@@ -174,6 +174,10 @@ class _CountingRows(np.ndarray):
         type(self).reads += 1
         return np.asarray(self)[key]
 
+    def take(self, *args, **kwargs):
+        type(self).reads += 1
+        return np.asarray(self).take(*args, **kwargs)
+
 
 def _levels_walked(tree, X):
     _CountingRows.reads = 0

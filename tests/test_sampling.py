@@ -205,3 +205,62 @@ def test_prefixes_validate_counts():
     for counts in ([], [10, 0], [10, -3], [2.5]):
         with pytest.raises(ValidationError):
             pg.pg2_sampled_prefixes(ens, [-1.0], [0], _spec(), counts)
+
+
+def _mixed_specs(rng, d):
+    return [
+        pg.PerturbationSpec.gaussian(0.7, d),
+        pg.PerturbationSpec(per_feature=(pg.Uniform(0.9),) * d),
+        pg.PerturbationSpec(per_feature=tuple(random_discrete(rng) for _ in range(d))),
+        pg.PerturbationSpec(per_feature=(
+            pg.Gaussian(0.3), random_discrete(rng), pg.Uniform(2.0), pg.Gaussian(5.0),
+            random_discrete(rng),
+        )),
+    ]
+
+
+def test_samplers_take_f_of_x_from_the_conditioned_walk(monkeypatch, tmp_path):
+    # f(x) is the conditioned ensemble's walk of the one row x[S]: a freshly
+    # loaded ensemble keeps its leaf boxes unbuilt, and the f(x) subtracted
+    # equals predict(x) with ==
+    rng = np.random.default_rng(35)
+    d = 5
+    model = tmp_path / "model.json"
+    pg.save_ensemble(random_ensemble(rng, num_features=d, num_trees=6, max_depth=5), model)
+    walks = []
+    predict_batch = pg.TreeEnsemble.predict_batch
+
+    def recorded(self, X):
+        out = predict_batch(self, X)
+        walks.append(out)
+        return out
+
+    monkeypatch.setattr(pg.TreeEnsemble, "predict_batch", recorded)
+    for spec in _mixed_specs(rng, d):
+        for features in ([3], [4, 0, 2], list(range(d))):
+            x = lattice_point(rng, d)
+            for run in (
+                lambda e: pg.pg2_sampled(e, x, features, spec, pg.EstimatorConfig("mc", 40, 3)),
+                lambda e: pg.pg2_sampled(e, x, features, spec, pg.EstimatorConfig("qmc", 40)),
+                lambda e: pg.pg2_sampled_prefixes(e, x, features, spec, [7, 40]),
+            ):
+                ens = pg.load_ensemble(model)
+                walks.clear()
+                run(ens)
+                assert "leaf_boxes" not in vars(ens)
+                assert [w.size for w in walks] == [1, 40]
+                assert walks[0][0] == ens.predict(x)
+
+
+def test_oversized_draw_counts_raise_validation_error():
+    from predgap.sampling import perturbed_inputs
+
+    ens = canonical_ensemble(num_features=2)
+    spec = pg.PerturbationSpec.gaussian(1.0, 2)
+    for method in ("mc", "qmc"):
+        config = pg.EstimatorConfig(method, 2 ** 62)
+        with pytest.raises(ValidationError, match=f"iterations {2 ** 62} "):
+            perturbed_inputs(np.zeros(2), [0, 1], spec, config)
+    data = pg.Dataset(values=np.zeros((3, 2)), feature_names=("a", "b"))
+    with pytest.raises(ValidationError, match=f"sample count {2 ** 62} "):
+        pg.xi_random(ens, [0.0, 0.0], [1], data, samples=2 ** 62)
