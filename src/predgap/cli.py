@@ -425,31 +425,18 @@ def cmd_benchmark(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse builds a formatter, which reads the terminal size, on every
-    # add_argument; one width read here, as HelpFormatter reads it, gives
-    # every parser the same text.
-    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
-        prog="pg2",
-        description="Exact and sampled squared prediction gaps for tree ensembles.",
-        formatter_class=formatter,
+def _add_inputs(p) -> None:
+    p.add_argument("--model", required=True, help="canonical model JSON")
+    p.add_argument("--data", required=True, help="dataset CSV with a header row")
+    p.add_argument("--label-column", default=None, help="column to exclude from features")
+    p.add_argument(
+        "--exclude-columns", default=None,
+        help="comma-separated columns (e.g. categorical ones) to drop",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = partial(sub.add_parser, formatter_class=formatter)
 
-    def add_common(p):
-        p.add_argument("--model", required=True, help="canonical model JSON")
-        p.add_argument("--data", required=True, help="dataset CSV with a header row")
-        p.add_argument("--label-column", default=None, help="column to exclude from features")
-        p.add_argument(
-            "--exclude-columns", default=None,
-            help="comma-separated columns (e.g. categorical ones) to drop",
-        )
 
-    p = add_parser("pg2", help="compute one squared prediction gap")
-    add_common(p)
+def _pg2_arguments(p) -> None:
+    _add_inputs(p)
     p.add_argument("--point-index", type=int, required=True)
     p.add_argument("--features", default="", help="comma-separated feature indices (empty = none)")
     p.add_argument("--sigma", type=float, default=None)
@@ -459,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_pg2)
 
-    p = add_parser("rank", help="write per-instance feature rankings as CSV")
-    add_common(p)
+
+def _rank_arguments(p) -> None:
+    _add_inputs(p)
     p.add_argument("--method", choices=["greedy-pg2", "from-attribution"], default="greedy-pg2")
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--dist-config", default=None)
@@ -468,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=cmd_rank)
 
-    p = add_parser("benchmark", help="NMAE of samplers against the exact algorithm")
-    add_common(p)
+
+def _benchmark_arguments(p) -> None:
+    _add_inputs(p)
     p.add_argument("--sigmas", default="0.1,0.3,1.0")
     p.add_argument(
         "--iteration-grid",
@@ -486,8 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", default=None, help="also write plot-ready CSV")
     p.set_defaults(func=cmd_benchmark)
 
-    p = add_parser("eval", help="aggregate PGI2 or randomization RMSE for rankings")
-    add_common(p)
+
+def _eval_arguments(p) -> None:
+    _add_inputs(p)
     p.add_argument("--rankings", default=None, help="CSV of per-instance permutations")
     p.add_argument("--method", choices=["greedy-pg2"], default=None)
     p.add_argument("--sigma-rank", type=float, default=None, help="sigma for greedy ranking")
@@ -499,19 +489,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmse-against", choices=["prediction", "labels"], default="prediction")
     p.set_defaults(func=cmd_eval)
 
-    p = add_parser("convert-model", help="convert an XGBoost JSON dump to the canonical format")
+
+def _convert_model_arguments(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--num-features", type=int, default=None)
     p.add_argument("--base-score", type=float, default=0.0)
     p.set_defaults(func=cmd_convert_model)
 
+
+# Each subcommand's help line and the function that adds its arguments, in
+# the order the top-level help lists them.  The functions set the command
+# handler when they run, so a handler replaced after import is the one called.
+_COMMANDS = {
+    "pg2": ("compute one squared prediction gap", _pg2_arguments),
+    "rank": ("write per-instance feature rankings as CSV", _rank_arguments),
+    "benchmark": ("NMAE of samplers against the exact algorithm", _benchmark_arguments),
+    "eval": ("aggregate PGI2 or randomization RMSE for rankings", _eval_arguments),
+    "convert-model": (
+        "convert an XGBoost JSON dump to the canonical format", _convert_model_arguments,
+    ),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The ``pg2`` parser, with every subcommand registered under its help line.
+
+    When ``command`` names a subcommand, only that subcommand gets its
+    arguments; otherwise every subcommand does.  Parsing an argv whose first
+    item is ``command`` reads no other subcommand's arguments, so its help,
+    usage and error texts are the full parser's.
+    """
+    # argparse builds a formatter, which reads the terminal size, on every
+    # add_argument; one width read here, as HelpFormatter reads it, gives
+    # every parser the same text.
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="pg2",
+        description="Exact and sampled squared prediction gaps for tree ensembles.",
+        formatter_class=formatter,
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in _COMMANDS
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, formatter_class=formatter)
+        if every or name == command:
+            add_arguments(p)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``pg2`` parser: the top-level ``--version`` and all five
+    subcommands, each with every one of its arguments."""
+    return _build_parser(None)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only a subcommand that argv's first item names gets its arguments.
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except PredgapError as exc:

@@ -119,48 +119,49 @@ class Tree:
     def leaf_count(self) -> int:
         return int(np.count_nonzero(self.feature < 0))
 
-    def leaves(self, flat: np.ndarray, rows: np.ndarray) -> np.ndarray | int:
+    def leaves(self, flat: np.ndarray, rows: np.ndarray, work: tuple) -> np.ndarray | int:
         """The leaf each row reaches; row r's feature q is ``flat[q * n + r]``.
 
-        ``flat`` holds the n rows column by column (feature-major) and
-        ``rows`` is ``np.arange(n)``.  The walk starts at the root as the
-        scalar 0: level 1 compares one column against the root's threshold,
-        and a single-leaf tree returns 0 without reading ``flat``.  Each
-        further level moves every row one step down ``child``, with no mask,
-        through ``take`` gathers into buffers allocated once per call: a
-        per-call table ``feature * n`` gives each node's column offset, and a
-        row on a leaf reads ``flat[-n + r]`` (the last column's row r), which
-        the leaf's self-loop discards.  Rows that all sit on leaves stop the
-        walk early.  That can only happen at or below the shallowest leaf, so
-        only those levels check, on the offsets (negative exactly at leaves).
+        ``flat`` holds the n rows column by column (feature-major), ``rows``
+        is ``np.arange(n)`` and ``work`` is ``_walk_buffers(n)``, which the
+        caller allocates once and shares across trees.  The walk writes every
+        level into those buffers and returns the first of them, the leaf
+        indices, which the next walk overwrites.  It starts at the root as
+        the scalar 0: level 1 compares one column against the root's
+        threshold, and a single-leaf tree returns 0 without reading ``flat``.
+        Each further level moves every row one step down ``child``, with no
+        mask, through ``take`` gathers: a per-call table ``feature * n``
+        gives each node's column offset, and a row on a leaf reads
+        ``flat[-n + r]`` (the last column's row r), which the leaf's
+        self-loop discards.  Rows that all sit on leaves stop the walk early.
+        That can only happen at or below the shallowest leaf, so only those
+        levels check, on the offsets (negative exactly at leaves).
         """
         if self.max_depth == 0:
             return 0
         child, threshold = self.child, self.threshold
+        idx, pos, value, cut, go_left = work
         n = rows.size
         start = int(self.feature[0]) * n
         # child[0] and child[1] are the root's right and left children.
-        idx = child[(flat[start:start + n] < threshold[0]).view(np.uint8)]
+        # mode="wrap" reads a negative position as indexing does, and spares
+        # the copy of ``out`` that the default mode="raise" makes.
+        np.less(flat[start:start + n], threshold[0], go_left)
+        child.take(go_left.view(np.uint8), None, idx, "wrap")
         if self.max_depth == 1:
             return idx
         offset = self.feature * n
-        pos = np.empty(n, dtype=np.int64)
-        value = np.empty(n)
-        cut = np.empty(n)
-        go_left = np.empty(n, dtype=bool)
-        # mode="wrap" reads a negative position as indexing does, and spares
-        # the copy of ``out`` that the default mode="raise" makes.
         for level in range(2, self.max_depth + 1):
-            offset.take(idx, out=pos, mode="wrap")
+            offset.take(idx, None, pos, "wrap")
             if self.shallowest_leaf < level and (pos < 0).all():
                 break
             pos += rows
-            flat.take(pos, out=value, mode="wrap")
-            threshold.take(idx, out=cut, mode="wrap")
-            np.less(value, cut, out=go_left)
-            np.multiply(idx, 2, out=pos)
+            flat.take(pos, None, value, "wrap")
+            threshold.take(idx, None, cut, "wrap")
+            np.less(value, cut, go_left)
+            np.multiply(idx, 2, pos)
             pos += go_left
-            child.take(pos, out=idx, mode="wrap")
+            child.take(pos, None, idx, "wrap")
         return idx
 
     def __setstate__(self, state) -> None:
@@ -176,6 +177,13 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(nodes={self.node_count}, leaves={self.leaf_count})"
+
+
+def _walk_buffers(n: int) -> tuple:
+    """The buffers of ``Tree.leaves`` for n rows: leaf index, gather
+    position, feature value, threshold and branch, one entry per row."""
+    return (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n),
+            np.empty(n), np.empty(n, dtype=bool))
 
 
 def _parse_tree(root, read_node, where: str) -> Tree:
@@ -279,7 +287,8 @@ class TreeEnsemble:
         The trees walk X column by column (``Tree.leaves``), so an
         F-contiguous X is read in place and any other layout is copied once.
         Each tree's walk starts from a scalar root, and a single-leaf tree
-        adds its value to every row as a scalar.
+        adds its value to every row as a scalar.  The trees share one set of
+        walk buffers.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.num_features:
@@ -289,10 +298,11 @@ class TreeEnsemble:
         if not np.isfinite(X).all():
             raise ValidationError("feature matrix contains non-finite entries")
         flat = np.asfortranarray(X).ravel(order="F")
-        rows = np.arange(X.shape[0])
-        out = np.zeros(X.shape[0], dtype=np.float64)
+        n = X.shape[0]
+        rows, work = np.arange(n), _walk_buffers(n)
+        out = np.zeros(n, dtype=np.float64)
         for tree in self.trees:
-            out += tree.value[tree.leaves(flat, rows)]
+            out += tree.value[tree.leaves(flat, rows, work)]
         return out
 
     def _conditioned(self, vec: np.ndarray, feats) -> TreeEnsemble:

@@ -9,11 +9,13 @@ Every draw equals x outside the perturbed set S, so a query samples only S's
 columns and walks the ensemble conditioned on x (``TreeEnsemble._conditioned``),
 whose trees keep only the splits on S.  The predictions are the ones the full
 ensemble gives on the full perturbed inputs, bit for bit, and f(x) is the
-conditioned walk of the single row ``x[S]``, so a query builds no leaf boxes.
+conditioned prediction of the row ``x[S]``, walked after the draws in the
+same call, so a query builds no leaf boxes and walks the ensemble once.
 The draws are made and stored feature-major, one contiguous row of n values
-per feature of S, and handed to ``predict_batch`` as an F-contiguous (n, |S|)
-view, which its column-major walk reads without a copy.  A draw count whose
-matrix cannot be allocated raises ``ValidationError``.
+per feature of S with ``x[S]`` after them, and handed to ``predict_batch``
+as an F-contiguous (n + 1, |S|) view, which its column-major walk reads
+without a copy.  A draw count whose matrix cannot be allocated raises
+``ValidationError``.
 """
 
 from __future__ import annotations
@@ -46,18 +48,41 @@ class EstimatorConfig:
         _as_seed(self.seed)
 
 
-def _draw_matrix(columns: int, count: int, what: str) -> np.ndarray:
-    """An uninitialized (columns, count) float matrix for ``count`` draws.
+def _draw_matrix(columns: int, count: int, what: str, spare: int = 0) -> np.ndarray:
+    """An uninitialized (columns, count + spare) float matrix for ``count`` draws.
 
     A count whose matrix is too big for numpy or for memory raises
     ``ValidationError`` naming it, before any draw is made.
     """
     try:
-        return np.empty((columns, count))
+        return np.empty((columns, count + spare))
     except (ValueError, MemoryError):  # "array is too big", or out of memory
         raise ValidationError(
             f"{what} {count} is too large: its draws cannot be allocated"
         ) from None
+
+
+def _draws(vec, feats, spec, config, spare: int) -> np.ndarray:
+    """The draws of ``perturbed_inputs`` as the first n columns of a
+    (|S|, n + spare) matrix, one row per feature of S; the ``spare`` columns
+    after them are left unset."""
+    n = config.iterations
+    X = _draw_matrix(len(feats), n, "iterations", spare)
+    if config.method == "mc":
+        rng = np.random.default_rng(config.seed)
+    else:
+        U = halton_matrix(n, len(feats))
+    with np.errstate(over="ignore"):
+        for j, q in enumerate(feats):
+            dist = spec.distribution_for(q)
+            delta = dist.sample_n(rng, n) if config.method == "mc" else dist.inv_cdf_n(U[:, j])
+            row = X[j, :n]
+            np.add(vec[q], delta, out=row)
+            if not np.isfinite(row).all():
+                raise NumericDomainError(
+                    f"perturbed feature {q} leaves the float range; lower its noise scale"
+                )
+    return X
 
 
 def perturbed_inputs(
@@ -74,39 +99,26 @@ def perturbed_inputs(
     ``predict_batch`` walks without a copy.  A perturbed value beyond the
     float range raises ``NumericDomainError``.
     """
-    n = config.iterations
-    X = _draw_matrix(len(feats), n, "iterations")
-    if config.method == "mc":
-        rng = np.random.default_rng(config.seed)
-    else:
-        U = halton_matrix(n, len(feats))
-    with np.errstate(over="ignore"):
-        for j, q in enumerate(feats):
-            dist = spec.distribution_for(q)
-            delta = dist.sample_n(rng, n) if config.method == "mc" else dist.inv_cdf_n(U[:, j])
-            np.add(vec[q], delta, out=X[j])
-            if not np.isfinite(X[j]).all():
-                raise NumericDomainError(
-                    f"perturbed feature {q} leaves the float range; lower its noise scale"
-                )
-    return X.T
+    return _draws(vec, feats, spec, config, 0).T
 
 
 def _sampled_gaps(ensemble, x, features, spec, config):
     """f(x') - f(x) for each draw x', or None for an empty S.
 
-    Both predictions come from the ensemble conditioned on x: f(x) is its
-    walk of the one row ``x[S]``, which reaches the leaves x reaches and sums
-    them in the same tree order as ``ensemble.predict(x)``, bit for bit,
-    without building the full ensemble's leaf boxes.
+    Both predictions come from one walk of the ensemble conditioned on x:
+    the draws take the first n rows and ``x[S]`` the last, which reaches the
+    leaves x reaches and sums them in the same tree order as
+    ``ensemble.predict(x)``, bit for bit, without building the full
+    ensemble's leaf boxes.
     """
     vec, feats, _ = _check_query(ensemble, x, features, spec)
     if not feats:
         return None
-    X = perturbed_inputs(vec, feats, spec, config)
-    conditioned = ensemble._conditioned(vec, feats)
-    c = conditioned.predict_batch(vec[None, feats])[0]
-    return conditioned.predict_batch(X) - c
+    n = config.iterations
+    X = _draws(vec, feats, spec, config, 1)
+    X[:, n] = vec[feats]
+    walk = ensemble._conditioned(vec, feats).predict_batch(X.T)
+    return walk[:n] - walk[n]
 
 
 def pg2_sampled(

@@ -368,6 +368,31 @@ def test_benchmark_builds_one_conditioned_ensemble_per_pair(monkeypatch):
         assert report == benchmark_report_oracle(ens, data, repetitions=2, **run)
 
 
+def test_benchmark_walks_each_sampler_call_once(monkeypatch):
+    # f(x) rides as one more row on the walk of the draws, so the benchmark
+    # makes no one-row walk: per sigma and non-empty pair, QMC walks the
+    # largest count once and MC each count once per repetition
+    import predgap.cli as cli_mod
+
+    walks = []
+    real = pg.TreeEnsemble.predict_batch
+
+    def counted(self, X):
+        walks.append(len(X))
+        return real(self, X)
+
+    monkeypatch.setattr(pg.TreeEnsemble, "predict_batch", counted)
+    rng = np.random.default_rng(14)
+    ens = random_ensemble(rng, num_features=4, num_trees=5, max_depth=4)
+    data = pg.Dataset(values=rng.normal(size=(6, 4)).tolist(), feature_names=tuple("abcd"))
+    run = dict(sigmas=[0.3, 1.0], iteration_grid=[40, 7], pairs=9, seed=5, sizes=[0, 2, 1, 3])
+    pairs = pg.sample_pairs(data, 4, run["pairs"], seed=run["seed"], sizes=run["sizes"])
+    cli_mod.run_benchmark(ens, data, workers=1, repetitions=2, **run)
+    per_pair = [41, 41, 41, 8, 8]
+    busy = sum(1 for p in pairs if p.feature_set)
+    assert sorted(walks) == sorted(per_pair * busy * len(run["sigmas"]))
+
+
 def test_eval_pgi2_matches_library(workdir, capsys):
     rc = main(
         ["eval", *_model_arg(workdir), "--method", "greedy-pg2", "--sigma-rank", "1.0",
@@ -673,6 +698,34 @@ def test_help_text_equals_the_default_formatters(monkeypatch, columns):
     for p in parsers:
         p.formatter_class = argparse.HelpFormatter
     assert [(p.format_help(), p.format_usage()) for p in parsers] == shared
+
+
+_COMMAND_NAMES = ["pg2", "rank", "benchmark", "eval", "convert-model"]
+
+
+@pytest.mark.parametrize("columns", ["60", "120"])
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["--version"], ["nosuch"]]
+    + [[name, "--help"] for name in _COMMAND_NAMES]
+    + [[name] for name in _COMMAND_NAMES]
+    + [["eval", "--model", "m", "--data", "d", "--metric", "bad"], ["pg2", "--iter", "5"],
+       ["rank", "--model", "m", "--data", "d", "--bogus"]],
+    ids=lambda argv: "_".join(argv) or "no-arguments",
+)
+def test_main_prints_what_the_full_parser_prints(monkeypatch, columns, argv):
+    # main builds only the named subcommand's arguments; its help, usage and
+    # error texts and its exit code are the full parser's
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def run(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+        return out.getvalue(), err.getvalue(), exc.value.code
+
+    assert run(main) == run(build_parser().parse_args)
 
 
 @pytest.mark.parametrize("method", ["mc", "qmc"])

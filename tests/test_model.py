@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import predgap as pg
 from predgap.errors import FormatError, ValidationError
-from predgap.model import ensemble_from_dict, ensemble_from_xgboost_dump
+from predgap.model import _walk_buffers, ensemble_from_dict, ensemble_from_xgboost_dump
 
 from support import (
     canonical_ensemble,
@@ -182,7 +182,7 @@ class _CountingRows(np.ndarray):
 def _levels_walked(tree, X):
     _CountingRows.reads = 0
     flat = np.asfortranarray(X, dtype=np.float64).ravel(order="F").view(_CountingRows)
-    tree.leaves(flat, np.arange(X.shape[0]))
+    tree.leaves(flat, np.arange(X.shape[0]), _walk_buffers(X.shape[0]))
     return _CountingRows.reads
 
 

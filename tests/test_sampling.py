@@ -220,9 +220,9 @@ def _mixed_specs(rng, d):
 
 
 def test_samplers_take_f_of_x_from_the_conditioned_walk(monkeypatch, tmp_path):
-    # f(x) is the conditioned ensemble's walk of the one row x[S]: a freshly
-    # loaded ensemble keeps its leaf boxes unbuilt, and the f(x) subtracted
-    # equals predict(x) with ==
+    # f(x) is the conditioned ensemble's prediction of the row x[S], walked
+    # after the draws in the query's one walk: a freshly loaded ensemble keeps
+    # its leaf boxes unbuilt, and the f(x) subtracted equals predict(x) with ==
     rng = np.random.default_rng(35)
     d = 5
     model = tmp_path / "model.json"
@@ -248,8 +248,8 @@ def test_samplers_take_f_of_x_from_the_conditioned_walk(monkeypatch, tmp_path):
                 walks.clear()
                 run(ens)
                 assert "leaf_boxes" not in vars(ens)
-                assert [w.size for w in walks] == [1, 40]
-                assert walks[0][0] == ens.predict(x)
+                assert [w.size for w in walks] == [41]
+                assert walks[0][40] == ens.predict(x)
 
 
 def test_oversized_draw_counts_raise_validation_error():
