@@ -33,11 +33,15 @@ one ``interval_prob`` array call, per distinct distribution object among the
 perturbed features (``PerturbationSpec.same`` gives them all one); memory is
 one block.
 
-``leaf_pair_probabilities`` builds the whole of P instead: one outer
-min/max over all alive leaves, scattered into a dense (L, L) array.  Its
-``LeafPairTable`` holds that array and the leaves' (tree, node) keys; the
-iterable ``pair_prob`` view and the per-tree sums read the array, so the
-table costs L^2 floats and no Python object per pair.
+``leaf_pair_probabilities`` builds the whole of P instead, filling the
+(A, A) block of all alive leaves in place from the same factors, a strip of
+rows at a time: 5 |S| A^2 elementwise operations (outer min, outer max,
+subtract, clamp at 0, multiply in), and beside P only two scratch strips of
+about ``_STRIP`` entries.  When every leaf is alive the block is P itself;
+otherwise it is scattered into a zero (L, L) array.  Its ``LeafPairTable``
+holds that array and the leaves' (tree, node) keys; the iterable
+``pair_prob`` view and the per-tree sums read the array, so the table costs
+L^2 floats and no Python object per pair.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ import numpy as np
 from .errors import NumericDomainError, ValidationError
 from .model import TreeEnsemble, _as_index, _lock, as_feature_vector
 from .perturb import Discrete, PerturbationSpec
+
+# Entries per row strip of the leaf-pair table's fill: a strip is 256 KiB, so
+# the three a feature touches stay in a typical L2 cache.
+_STRIP = 1 << 15
 
 
 class _PairProbabilities:
@@ -190,18 +198,60 @@ def _cross(blocks):
     return total
 
 
+def _fill_joint(out, F_lo, F_hi):
+    """Write ``_joint(F_lo, F_hi, F_lo, F_hi)`` into the (A, A) array ``out``
+    with the same operations in the same feature order, one strip of rows at
+    a time: a strip's first factor goes straight into ``out``, each later one
+    into a reused scratch strip that is multiplied in.  A strip of about
+    ``_STRIP`` entries keeps its factors in cache between features.  No
+    features gives 1.0 everywhere."""
+    if not len(F_lo):
+        out.fill(1.0)
+        return
+    size = out.shape[0]
+    rows = max(1, _STRIP // size)
+    lower = np.empty((min(rows, size), size))
+    scratch = np.empty_like(lower)
+    for a in range(0, size, rows):
+        strip = out[a:a + rows]
+        n = strip.shape[0]
+        low = lower[:n]
+        for k, (lo, hi) in enumerate(zip(F_lo, F_hi)):
+            factor = scratch[:n] if k else strip
+            np.minimum.outer(hi[a:a + n], hi, out=factor)
+            np.maximum.outer(lo[a:a + n], lo, out=low)
+            factor -= low
+            np.maximum(factor, 0.0, out=factor)
+            if k:
+                strip *= factor
+
+
 def leaf_pair_probabilities(
     ensemble: TreeEnsemble,
     x,
     features,
     spec: PerturbationSpec,
 ) -> LeafPairTable:
-    """Compute Pr[leaf active] and Pr[both leaves active] for all leaf pairs."""
+    """Compute Pr[leaf active] and Pr[both leaves active] for all leaf pairs.
+
+    The (A, A) block of the A alive leaves is filled in place, 5 |S| A^2
+    elementwise operations; when every leaf is alive it is ``P`` itself,
+    otherwise it is scattered into a zero (L, L) array.  Building takes
+    ``P``, the block when it is not ``P``, and two scratch strips of about
+    ``_STRIP`` entries.
+    """
     vec, feats, dists = _check_query(ensemble, x, features, spec)
     boxes = ensemble.leaf_boxes
     _, alive, _, _, F_lo, F_hi = _alive(boxes, vec, feats, dists)
-    P = np.zeros((boxes.value.size, boxes.value.size))
-    P[np.ix_(alive, alive)] = _joint(F_lo, F_hi, F_lo, F_hi)
+    size = boxes.value.size
+    if alive.size == size:
+        P = np.empty((size, size))
+        _fill_joint(P, F_lo, F_hi)
+    else:
+        block = np.empty((alive.size, alive.size))
+        _fill_joint(block, F_lo, F_hi)
+        P = np.zeros((size, size))
+        P[np.ix_(alive, alive)] = block
     return LeafPairTable(P=P, tree=boxes.tree, node=boxes.node, num_trees=len(ensemble.trees))
 
 

@@ -65,10 +65,11 @@ class Gaussian(Distribution):
             )
 
     def cdf_below(self, v: np.ndarray) -> np.ndarray:
-        # A quotient past the float range is +-inf, where erf is exactly +-1.
-        with np.errstate(over="ignore"):
-            z = np.divide(v, self.sigma * _SQRT2)
-        return 0.5 * (1.0 + erf(z))
+        # erf is exactly +-1 from |z| = 6 on, so clamping v there keeps every
+        # value and keeps the quotient inside the float range.
+        scale = self.sigma * _SQRT2
+        bound = 6.0 * scale
+        return 0.5 * (1.0 + erf(np.minimum(np.maximum(v, -bound), bound) / scale))
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         return self.sigma * ndtri(u)
@@ -91,8 +92,10 @@ class Uniform(Distribution):
             )
 
     def cdf_below(self, v: np.ndarray) -> np.ndarray:
+        # Clamped to [-w, w], v + w lies in [0, 2w], so the quotient is in
+        # [0, 1] and never overflows.
         w = self.half_width
-        return np.clip(np.add(v, w) / (2.0 * w), 0.0, 1.0)
+        return (np.clip(v, -w, w) + w) / (2.0 * w)
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         return (2.0 * u - 1.0) * self.half_width

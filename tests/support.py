@@ -8,6 +8,7 @@ import io
 import numpy as np
 
 import predgap as pg
+from predgap import exact
 from predgap.perturb import _PRIMES
 
 # Standard normal CDF at 1, to double precision.
@@ -259,6 +260,18 @@ def pair_table_oracle(ensemble, x, features, spec) -> np.ndarray:
     size = ensemble.leaf_boxes.value.size
     P = np.zeros((size, size))
     P[np.ix_(alive, alive)] = pair_block_oracle(dists, lo, hi, lo, hi)
+    return P
+
+
+def joint_table_reference(ensemble, x, features, spec) -> np.ndarray:
+    """The dense leaf-pair matrix as one ``_joint`` block over every alive
+    leaf, scattered into zeros with ``np.ix_``: the engine's own factors,
+    built with no in-place fill."""
+    vec, feats, dists = exact._check_query(ensemble, x, features, spec)
+    boxes = ensemble.leaf_boxes
+    _, alive, _, _, F_lo, F_hi = exact._alive(boxes, vec, feats, dists)
+    P = np.zeros((boxes.value.size, boxes.value.size))
+    P[np.ix_(alive, alive)] = exact._joint(F_lo, F_hi, F_lo, F_hi)
     return P
 
 

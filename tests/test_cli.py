@@ -76,6 +76,24 @@ def test_pg2_dist_config(workdir, capsys):
     assert capsys.readouterr().out == "0.500000000\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pg2_uniform_noise_far_below_the_threshold_is_silent(tmp_path, capsys):
+    # x0 + w is 1e10 below the split, so the CDF's quotient would overflow
+    # for w = 1e-300 if v were not clamped to [-w, w] first.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(
+        {"num_features": 1, "trees": [{"feature": 0, "threshold": 1e10,
+                                       "left": leaf(0.0), "right": leaf(1.0)}]}
+    ))
+    (tmp_path / "data.csv").write_text("a\n0.0\n")
+    (tmp_path / "dist.json").write_text(json.dumps({"kind": "uniform", "half_width": 1e-300}))
+    rc = main(["pg2", "--model", str(model), "--data", str(tmp_path / "data.csv"),
+               "--point-index", "0", "--features", "0", "--method", "exact",
+               "--dist-config", str(tmp_path / "dist.json")])
+    assert rc == 0
+    assert capsys.readouterr() == ("0.000000000\n", "")
+
+
 def test_rank_greedy_single_feature_model(workdir, capsys):
     rc = main(["rank", *_model_arg(workdir), "--sigma", "1.0"])
     assert rc == 0

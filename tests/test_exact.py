@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import predgap as pg
+from predgap import exact
 from predgap.errors import ValidationError
 from predgap.model import ensemble_from_dict
 
@@ -18,6 +19,7 @@ from support import (
     PHI_1,
     canonical_ensemble,
     depth1_tree,
+    joint_table_reference,
     lattice_point,
     leaf,
     pair_table_oracle,
@@ -80,7 +82,8 @@ def test_table_views_are_read_only_mappings():
 
 def test_table_memory_is_a_few_dense_matrices():
     # 16 perfect depth-5 trees, L = 512: the dense table is 8 L^2 bytes; a
-    # dict entry per leaf pair costs about 17 times that.
+    # dict entry per leaf pair costs about 17 times that.  With every feature
+    # perturbed every leaf is alive, and the table is filled in place.
     rng = np.random.default_rng(3)
     d = 8
     ens = pg.TreeEnsemble(trees=tuple(perfect_tree(rng, d, 5) for _ in range(16)), num_features=d)
@@ -88,14 +91,53 @@ def test_table_memory_is_a_few_dense_matrices():
     assert L == 512
     spec = pg.PerturbationSpec.gaussian(0.3, d)
     x = rng.normal(size=d)
-    tracemalloc.start()
-    try:
-        table = pg.leaf_pair_probabilities(ens, x, (0, 2, 5, 7), spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * 8 * L * L
-    assert np.count_nonzero(table.P) > L
+    for S, bound in (((0, 2, 5, 7), 6.0), (tuple(range(d)), 3.5)):
+        tracemalloc.start()
+        try:
+            table = pg.leaf_pair_probabilities(ens, x, S, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * L * L, S
+        assert np.count_nonzero(table.P) > L, S
+
+
+def _table_cases():
+    """(name, ensemble, x, S, spec) queries for the table fill."""
+    rng = np.random.default_rng(31)
+    d = 8
+    sweep = pg.TreeEnsemble(trees=tuple(perfect_tree(rng, d, 5) for _ in range(12)), num_features=d)
+    gauss = pg.PerturbationSpec.gaussian(0.3, d)
+    x = rng.normal(size=d)
+    for k in (0, 1, 2, 4, 8):
+        yield f"sweep-{k}", sweep, x, tuple(range(0, d, d // k)) if k else (), gauss
+    yield "one-tree", pg.TreeEnsemble((perfect_tree(rng, 3, 4),), 3), rng.normal(size=3), (0, 2), \
+        pg.PerturbationSpec.gaussian(0.5, 3)
+    # The second tree splits only on feature 0, outside S.
+    off_s = pg.TreeEnsemble((perfect_tree(rng, 3, 3), depth1_tree(threshold=0.1)), 3)
+    yield "no-split-on-S", off_s, rng.normal(size=3), (1, 2), pg.PerturbationSpec.gaussian(0.5, 3)
+    shared = pg.Gaussian(0.4)
+    mixed = pg.PerturbationSpec(
+        per_feature=(shared, pg.Uniform(0.6), random_discrete(rng), shared, pg.Uniform(0.6), shared)
+    )
+    yield "mixed", random_ensemble(rng, 6, num_trees=5, max_depth=4), lattice_point(rng, 6), \
+        tuple(range(6)), mixed
+
+
+@pytest.mark.parametrize("strip", [None, 1, 700])
+def test_table_fill_equals_the_single_block_reference(monkeypatch, strip):
+    # The in-place fill, strip by strip, gives the one-block values bit for
+    # bit; strips of one row and of a few rows with a short last strip too.
+    if strip is not None:
+        monkeypatch.setattr(exact, "_STRIP", strip)
+    for name, ens, x, S, spec in _table_cases():
+        P = pg.leaf_pair_probabilities(ens, x, S, spec).P
+        assert np.array_equal(P, joint_table_reference(ens, x, S, spec)), name
+        assert np.array_equal(P, P.T), name
+        same_tree = ens.leaf_boxes.tree[:, None] == ens.leaf_boxes.tree
+        np.fill_diagonal(same_tree, False)
+        assert (P[same_tree] == 0.0).all(), name
+        assert np.count_nonzero(np.diagonal(P)) >= len(ens.trees), name
 
 
 def test_pg2_exact_canonical_value():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erf
 
 import predgap as pg
 from predgap.errors import ValidationError
@@ -104,6 +105,42 @@ def test_extreme_accepted_scales_give_a_cdf(dist):
 def test_gaussian_cdf_beyond_the_quotient_range_is_silent():
     # v / (sigma*sqrt(2)) overflows to +-inf, where erf is exactly +-1
     assert pg.Gaussian(1e-300).cdf_below(np.array([-1e10, 1e10])).tolist() == [0.0, 1.0]
+
+
+def _ends_around(bound):
+    """+-inf, +-1e308, +-5e-324, 0 and the floats next to +-bound."""
+    ends = [np.inf, 1e308, 5e-324, np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)]
+    return np.array([0.0, *ends, *(-e for e in ends)])
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 0.3, 1.0, 1e300])
+def test_gaussian_cdf_is_the_unclamped_formula_without_its_warning(sigma):
+    # cdf_below clamps v where erf is already +-1, at 6 sigma sqrt(2): every
+    # value keeps its bits.  An end of +-5e-324 underflows in the divide in
+    # either form (numpy ignores underflow by default); no other FP error
+    # is raised.
+    ends = _ends_around(6.0 * sigma * math.sqrt(2.0))
+    with np.errstate(over="ignore", under="ignore"):
+        unclamped = 0.5 * (1.0 + erf(np.divide(ends, sigma * math.sqrt(2.0))))
+    dist = pg.Gaussian(sigma)
+    with np.errstate(all="raise", under="ignore"):
+        assert dist.cdf_below(ends).tolist() == unclamped.tolist()
+    tiny = np.abs(ends) == 5e-324
+    with np.errstate(all="raise"):
+        assert dist.cdf_below(ends[~tiny]).tolist() == unclamped[~tiny].tolist()
+
+
+@pytest.mark.parametrize("half_width", [1e-300, 0.5, 8e307])
+def test_uniform_cdf_is_the_unclamped_formula_without_its_warning(half_width):
+    # v is clamped to [-w, w] before the divide: (-w + w) / 2w = 0 and
+    # (w + w) / 2w = 1 exactly, the values the old outer clip gave.  For
+    # w = 1e-300 the old quotient overflowed at v = 1e308.
+    w = half_width
+    ends = _ends_around(w)
+    with np.errstate(over="ignore"):
+        unclamped = np.clip(np.add(ends, w) / (2.0 * w), 0.0, 1.0)
+    with np.errstate(all="raise"):
+        assert pg.Uniform(w).cdf_below(ends).tolist() == unclamped.tolist()
 
 
 def test_sampling_degenerate_discrete():
