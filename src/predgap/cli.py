@@ -513,12 +513,13 @@ _COMMANDS = {
 
 
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The ``pg2`` parser, with every subcommand registered under its help line.
+    """The ``pg2`` parser.
 
-    When ``command`` names a subcommand, only that subcommand gets its
-    arguments; otherwise every subcommand does.  Parsing an argv whose first
-    item is ``command`` reads no other subcommand's arguments, so its help,
-    usage and error texts are the full parser's.
+    When ``command`` names a subcommand, only that subcommand is registered,
+    and the usage line still names all five; otherwise every subcommand is,
+    with its help line and its arguments.  Parsing an argv whose first item
+    is ``command`` reads no other subcommand, so its help, usage and error
+    texts are the full parser's.
     """
     # argparse builds a formatter, which reads the terminal size, on every
     # add_argument; one width read here, as HelpFormatter reads it, gives
@@ -530,12 +531,13 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
     every = command not in _COMMANDS
+    # The metavar is the choice list argparse would print for all five.
+    metavar = None if every else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (summary, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary, formatter_class=formatter)
         if every or name == command:
-            add_arguments(p)
+            add_arguments(sub.add_parser(name, help=summary, formatter_class=formatter))
     return parser
 
 
@@ -547,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only a subcommand that argv's first item names gets its arguments.
+    # A subcommand that argv's first item names is the only one built.
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)

@@ -151,9 +151,7 @@ def _alive(boxes, vec, feats, dists):
     holds = boxes.holds(vec)
     alive = np.flatnonzero(holds[:, fixed].all(axis=1))
     ends = (np.stack((boxes.lo[alive], boxes.hi[alive]))[..., feats] - vec[feats]).transpose(2, 0, 1)
-    F = np.empty(ends.shape)
-    for dist, ks in _by_distribution(dists):
-        F[ks] = dist.cdf_below(ends[ks])
+    F = _per_distribution(dists, "cdf_below", ends)
     return holds, alive, ends[:, 0], ends[:, 1], F[:, 0], F[:, 1]
 
 
@@ -170,13 +168,24 @@ def _by_distribution(dists):
     return groups.values()
 
 
+def _per_distribution(dists, method, *arrays):
+    """``dists[k].<method>`` of row k of ``arrays``, as one array: one call per
+    distinct distribution object (``_by_distribution``) on the rows it
+    covers, or on the whole arrays when one object covers them all."""
+    groups = _by_distribution(dists)
+    if len(groups) == 1:
+        (dist, _), = groups
+        return getattr(dist, method)(*arrays)
+    out = np.empty(arrays[0].shape)
+    for dist, ks in groups:
+        out[ks] = getattr(dist, method)(*(a[ks] for a in arrays))
+    return out
+
+
 def _mass(dists, lo, hi):
     """Elementwise product over k of ``dists[k].interval_prob(lo[k], hi[k])``,
     multiplied in k order."""
-    p = np.empty(lo.shape)
-    for dist, ks in _by_distribution(dists):
-        p[ks] = dist.interval_prob(lo[ks], hi[ks])
-    return np.multiply.reduce(p, axis=0)
+    return np.multiply.reduce(_per_distribution(dists, "interval_prob", lo, hi), axis=0)
 
 
 def _joint(F_lo_a, F_hi_a, F_lo_b, F_hi_b):

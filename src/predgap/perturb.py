@@ -4,7 +4,8 @@ Every distribution exposes one O(1) CDF, its inverse, and seeded sampling.
 The CDF is ``cdf_below``, the left limit Pr[delta < v]: half-open interval
 probabilities are built from it, and for discrete distributions it leaves
 out an atom at v.  ``cdf_below`` and ``interval_prob`` work elementwise on
-numpy arrays.
+numpy arrays.  The Gaussian's CDF and quantile are the numpy kernels of
+``predgap.normal``; the package needs no scipy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erf, ndtri
 
+from . import normal
 from .errors import ValidationError
 from .model import _as_index
 
@@ -41,8 +42,15 @@ class Distribution:
         raise NotImplementedError
 
     def interval_prob(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Pr[lo <= delta < hi] for the half-open interval [lo, hi); 0 when empty."""
-        return np.where(hi > lo, self.cdf_below(hi) - self.cdf_below(lo), 0.0)
+        """Pr[lo <= delta < hi] for the half-open interval [lo, hi); 0 when empty.
+
+        One ``cdf_below`` call covers both ends, stacked.
+        """
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        if lo.shape != hi.shape:
+            lo, hi = np.broadcast_arrays(lo, hi)
+        F = self.cdf_below(np.array((hi, lo)))
+        return np.where(hi > lo, F[0] - F[1], 0.0)
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -65,14 +73,12 @@ class Gaussian(Distribution):
             )
 
     def cdf_below(self, v: np.ndarray) -> np.ndarray:
-        # erf is exactly +-1 from |z| = 6 on, so clamping v there keeps every
-        # value and keeps the quotient inside the float range.
-        scale = self.sigma * _SQRT2
-        bound = 6.0 * scale
-        return 0.5 * (1.0 + erf(np.minimum(np.maximum(v, -bound), bound) / scale))
+        return normal.cdf(v, self.sigma * _SQRT2)
 
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
-        return self.sigma * ndtri(u)
+        x = normal.quantile(u)
+        x *= self.sigma
+        return x
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=n)
@@ -266,7 +272,8 @@ _PRIMES = _first_primes(256)
 def halton_matrix(count: int, dim: int) -> np.ndarray:
     """Unscrambled Halton points in [0, 1)^dim for indices 1..count, one row per index.
 
-    Each call builds its points afresh and keeps nothing between calls.
+    Each call builds its points afresh and keeps nothing between calls.  The
+    matrix is F-ordered, so each coordinate's column is contiguous.
     Coordinate j is the radical inverse in the j-th prime base, with the
     same bits as summing the digits' contributions from the lowest digit up.
     """
@@ -277,7 +284,7 @@ def halton_matrix(count: int, dim: int) -> np.ndarray:
         raise ValidationError(
             f"halton dimension {dim} outside the prime-table capacity (1..{len(_PRIMES)})"
         )
-    out = np.empty((count, dim), dtype=np.float64)
+    out = np.empty((count, dim), order="F")
     for j in range(dim):
         base = _PRIMES[j]
         # inv[i] is the radical inverse of index i.  Level k extends it from

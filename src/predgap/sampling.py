@@ -20,12 +20,13 @@ without a copy.  A draw count whose matrix cannot be allocated raises
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericDomainError, ValidationError
-from .exact import _check_query
+from .exact import _check_query, _per_distribution
 from .model import TreeEnsemble, _as_index, _as_seed
 from .perturb import PerturbationSpec, halton_matrix
 
@@ -48,40 +49,58 @@ class EstimatorConfig:
         _as_seed(self.seed)
 
 
+@contextmanager
+def _allocating(what: str, count: int):
+    """Turn numpy's "array is too big" and an out-of-memory error into a
+    ``ValidationError`` naming ``count``."""
+    try:
+        yield
+    except (ValueError, MemoryError):
+        raise ValidationError(
+            f"{what} {count} is too large: its draws cannot be allocated"
+        ) from None
+
+
 def _draw_matrix(columns: int, count: int, what: str, spare: int = 0) -> np.ndarray:
     """An uninitialized (columns, count + spare) float matrix for ``count`` draws.
 
     A count whose matrix is too big for numpy or for memory raises
     ``ValidationError`` naming it, before any draw is made.
     """
-    try:
+    with _allocating(what, count):
         return np.empty((columns, count + spare))
-    except (ValueError, MemoryError):  # "array is too big", or out of memory
-        raise ValidationError(
-            f"{what} {count} is too large: its draws cannot be allocated"
-        ) from None
 
 
 def _draws(vec, feats, spec, config, spare: int) -> np.ndarray:
     """The draws of ``perturbed_inputs`` as the first n columns of a
     (|S|, n + spare) matrix, one row per feature of S; the ``spare`` columns
-    after them are left unset."""
+    after them hold no draw.
+
+    MC draws each feature's noise in turn from one seeded generator and adds
+    x to it in that feature's row.  QMC maps Halton points 1 .. n + spare
+    through the inverse CDFs, one ``inv_cdf_n`` call per distinct
+    distribution object over all of its coordinates; the result is the
+    matrix, and x is added to it in place.
+    """
     n = config.iterations
-    X = _draw_matrix(len(feats), n, "iterations", spare)
-    if config.method == "mc":
-        rng = np.random.default_rng(config.seed)
-    else:
-        U = halton_matrix(n, len(feats))
+    dists = [spec.distribution_for(q) for q in feats]
+    # A huge noise scale overflows; the check below names the feature.
     with np.errstate(over="ignore"):
-        for j, q in enumerate(feats):
-            dist = spec.distribution_for(q)
-            delta = dist.sample_n(rng, n) if config.method == "mc" else dist.inv_cdf_n(U[:, j])
-            row = X[j, :n]
-            np.add(vec[q], delta, out=row)
-            if not np.isfinite(row).all():
-                raise NumericDomainError(
-                    f"perturbed feature {q} leaves the float range; lower its noise scale"
-                )
+        if config.method == "mc":
+            X = _draw_matrix(len(feats), n, "iterations", spare)
+            rng = np.random.default_rng(config.seed)
+            for j, (q, dist) in enumerate(zip(feats, dists)):
+                np.add(vec[q], dist.sample_n(rng, n), out=X[j, :n])
+        else:
+            with _allocating("iterations", n):
+                U = halton_matrix(n + spare, len(feats)).T  # a contiguous row per coordinate
+            X = _per_distribution(dists, "inv_cdf_n", U)
+            np.add(X[:, :n], vec[list(feats)][:, None], out=X[:, :n])
+    for q, row in zip(feats, X[:, :n]):
+        if not np.isfinite(row).all():
+            raise NumericDomainError(
+                f"perturbed feature {q} leaves the float range; lower its noise scale"
+            )
     return X
 
 

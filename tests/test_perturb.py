@@ -69,6 +69,23 @@ def test_array_calls_match_scalar_calls(dist):
         assert c == dist.cdf_below(v)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [pg.Gaussian(0.7), pg.Uniform(1.0), pg.Discrete(points=((-1.0, 0.25), (0.0, 0.5), (2.0, 0.25)))],
+    ids=["gaussian", "uniform", "discrete"],
+)
+def test_interval_prob_is_one_cdf_call_with_the_two_call_values(dist, monkeypatch):
+    lo, hi = np.meshgrid(_ENDS, _ENDS, indexing="ij")
+    two_calls = np.where(hi > lo, dist.cdf_below(hi) - dist.cdf_below(lo), 0.0)
+    calls = []
+    real = type(dist).cdf_below
+    monkeypatch.setattr(type(dist), "cdf_below", lambda self, v: calls.append(1) or real(self, v))
+    assert dist.interval_prob(lo, hi).tolist() == two_calls.tolist()
+    assert len(calls) == 1
+    # ends of different shapes broadcast
+    assert dist.interval_prob(lo[:, 0], 0.3).tolist() == two_calls[:, 5].tolist()
+
+
 def test_discrete_validation():
     with pytest.raises(ValidationError):
         pg.Discrete(points=((0.0, 0.5), (0.0, 0.5)))       # not increasing

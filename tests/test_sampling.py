@@ -148,6 +148,29 @@ def test_perturbed_inputs_equal_the_row_major_oracle():
                     assert np.array_equal(X, perturbed_inputs_oracle(x, feats, spec, config))
 
 
+def test_qmc_makes_one_inverse_cdf_call_per_distinct_distribution(monkeypatch):
+    # one Gaussian object on features 0, 2 and 4 and an equal but distinct one
+    # on feature 3: each object maps all of its Halton columns in one call,
+    # and the estimate is the per-feature oracle's, bit for bit
+    shared, other = pg.Gaussian(0.7), pg.Gaussian(0.7)
+    spec = pg.PerturbationSpec(per_feature=(shared, pg.Uniform(1.0), shared, other, shared))
+    ens = random_ensemble(np.random.default_rng(5), 5, num_trees=3, max_depth=3)
+    x = np.zeros(5)
+    config = pg.EstimatorConfig("qmc", 500)
+    want = float(np.mean(full_width_squared_gaps(ens, x, range(5), spec, config)))
+    calls = []
+    real = pg.Gaussian.inv_cdf_n
+
+    def counting(self, u):
+        calls.append((id(self), np.shape(u)))
+        return real(self, u)
+
+    monkeypatch.setattr(pg.Gaussian, "inv_cdf_n", counting)
+    assert pg.pg2_sampled(ens, x, range(5), spec, config) == want
+    # 500 draws and the spare Halton point that f(x)'s row overwrites
+    assert sorted(calls) == sorted([(id(shared), (3, 501)), (id(other), (1, 501))])
+
+
 def test_estimators_equal_the_full_width_walk_bit_for_bit():
     # sampling S's columns and walking x-conditioned trees gives the floats
     # of the whole ensemble walked on n full copies of x
