@@ -2,10 +2,12 @@
 
 Every file the package reads or writes goes through ``read_text``,
 ``read_json`` or ``write_text``, so a file that cannot be read, decoded or
-written is always a FormatError.
+written is always a FormatError.  ``json_number`` is the one rule for a
+number in a JSON file.
 """
 
 import json
+import numbers
 
 
 class PredgapError(Exception):
@@ -38,9 +40,10 @@ def exit_code_for(exc: PredgapError) -> int:
 
 
 def read_text(path, what: str) -> str:
-    """The UTF-8 text of a file, line endings untranslated."""
+    """The UTF-8 text of a file without a leading byte-order mark, line
+    endings untranslated."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {what} {path}: {exc}") from None
@@ -56,6 +59,19 @@ def read_json(path, what: str):
         raise FormatError(f"{path}: {exc}") from None
     except RecursionError:
         raise FormatError(f"{path}: {what} nested too deeply to parse") from None
+
+
+def json_number(value) -> float:
+    """A number read from JSON (a real number, not a bool) as a float.
+
+    Anything else raises ``TypeError``, and an int beyond the float range
+    raises ``OverflowError``.
+    """
+    # float and int come first, so the numbers of a JSON file skip the
+    # slower abstract-base-class check (numpy scalars take that path).
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"not a number: {value!r}")
 
 
 def write_text(path, text: str) -> None:

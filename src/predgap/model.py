@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, read_json, write_text
+from .errors import FormatError, ValidationError, json_number, read_json, write_text
 
 
 _MAX_FEATURE = np.iinfo(np.int64).max  # feature indices are stored as int64
@@ -375,15 +375,10 @@ def as_feature_vector(x, num_features: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _number(obj: dict, key: str, where: str) -> float:
-    v = obj[key]
-    # float and int come first, so the numbers of a JSON file skip the
-    # slower abstract-base-class check (numpy scalars take that path).
-    if isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool):
-        try:
-            return float(v)
-        except OverflowError:  # an integer literal beyond the float range
-            pass
-    raise FormatError(f"{where}: {key} must be a number")
+    try:
+        return json_number(obj[key])
+    except (TypeError, OverflowError):
+        raise FormatError(f"{where}: {key} must be a number") from None
 
 
 def _canonical_node_fields(obj, where: str):

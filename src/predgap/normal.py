@@ -6,8 +6,9 @@
 evaluate piecewise cubics looked up in tables that are built on first use,
 so importing the package builds nothing.
 
-Each table row holds one piece [z_k, z_{k+1}) as ``(c3, c2, c1, f_k)`` and
-is evaluated at ``s = (z - z_k) / dz`` in [0, 1) by Horner's rule,
+All three tables are built one way.  Each row holds one piece
+[z_k, z_{k+1}) as ``(c3, c2, c1, f_k)`` and is evaluated at
+``s = (z - z_k) / dz`` in [0, 1) by Horner's rule,
 ``f_k + s (c1 + s (c2 + s c3))``.  A piece passes exactly through the
 stored knot values at both of its ends (``c1 + c2 + c3 = f_{k+1} - f_k``),
 so on either side of a knot the result rounds to that knot's own value:
@@ -16,14 +17,14 @@ non-decreasing across knots.  Between its ends a piece matches the
 function at s = 1/4 and 3/4 as well, where only the curvature off the
 chord is interpolated.
 
-* CDF: knots every 2**-11 of z = v / scale on [-6, 6].  The knot values
-  come from ``math.erfc`` (the lower half as ``0.5 * erfc(-z)``, accurate
-  in the tail), the curvature from the closed-form derivatives
-  F^(j)(z) = (-1)^(j-1) H_{j-1}(z) exp(-z^2) / sqrt(pi) with Hermite
-  polynomials H.  Where ``0.5 * (1 + erf(z))`` rounds to 0 (from z = -5.92
-  on) the table is 0, so the clamp at -6 gives exactly 0.0, as the formula
-  does; +6 gives exactly 1.0 and 0 exactly 0.5.  Measured against mpmath,
-  a result is within one ulp of 1.0 of the exact value.
+* CDF: knots every 2**-11 of z = v / scale on [-6, 6], and one more at
+  either end.  Every value the table is built from, at the knots and at
+  s = 1/4 and 3/4, is ``0.5 * erfc(-z)`` from ``math.erfc``, accurate
+  relative to its own size in the lower tail.  Each row that ends where
+  ``0.5 * (1 + erf(z))`` rounds to 0 (from z = -5.92 on) is 0, so the
+  clamp at -6 gives exactly 0.0, as the formula does; +6 gives exactly 1.0
+  and 0 exactly 0.5.  Measured against mpmath, a result is within one ulp
+  of 1.0 of the exact value.
 * Quantile: x = q g(q^2) for q = u - 0.5 with |q| <= 0.45, where g is
   tabulated on knots every 2**-15 of q^2.  Beyond that, with p the smaller
   tail and rho = sqrt(-log p), x is tabulated on knots every 2**-11 of rho
@@ -92,62 +93,32 @@ def _polynomial(coefficients, x):
     return y
 
 
-def _pinned_cubics(f_k, f_next, curve_1, curve_3):
-    """Table rows ``(c3, c2, c1, f_k)`` of the cubics P with P(0) = 0,
-    P(1) = f_next - f_k, and curvature off that chord ``curve_1`` at
-    s = 1/4 and ``curve_3`` at s = 3/4.
+def _tabulate(f, start: float, knots: int, rows: int) -> np.ndarray:
+    """Rows ``(c3, c2, c1, f_k)`` of the cubics P of f on the pieces
+    [start + k / knots, start + (k + 1) / knots), k = 0 .. rows - 1.
 
-    P(s) = D s + s (s - 1) (alpha + beta s) for D = f_next - f_k; at s = 1/4
-    and 3/4, s (s - 1) = -3/16, which fixes alpha and beta.
+    P(s) = D s + s (s - 1) (alpha + beta s) with D = f_{k+1} - f_k passes
+    through both knot values, and alpha and beta match f's curvature off that
+    chord at s = 1/4 and 3/4, where s (s - 1) = -3/16.
     """
-    w1 = curve_1 * (-16.0 / 3.0)
-    w3 = curve_3 * (-16.0 / 3.0)
+    step = 1.0 / knots
+    x = start + np.arange(rows + 1) * step
+    y = f(x)
+    chord = y[1:] - y[:-1]
+    w1 = (f(x[:-1] + 0.25 * step) - y[:-1] - 0.25 * chord) * (-16.0 / 3.0)
+    w3 = (f(x[:-1] + 0.75 * step) - y[:-1] - 0.75 * chord) * (-16.0 / 3.0)
     beta = 2.0 * (w3 - w1)
     alpha = 0.5 * (3.0 * w1 - w3)
-    return np.stack((beta, alpha - beta, (f_next - f_k) - alpha, f_k), axis=1)
+    return np.stack((beta, alpha - beta, chord - alpha, y[:-1]), axis=1)
 
 
-@cache
-def _cdf_table() -> np.ndarray:
-    """Rows for the knots k = 0 .. n, then k = -n-1 .. -1, so that a
-    negative knot index reads its row as a negative array index."""
-    n = _CDF_SPAN
-    dz = 1.0 / _CDF_KNOTS
-    a = np.arange(n + 2) * dz  # |z| at the knots
-    # F(-a) = 0.5 erfc(a), relative to its own size in the lower tail, and
-    # 0 where 0.5 (1 + erf(-a)) rounds to 0; F(a) = 1 - F(-a).
-    below = 0.5 * np.fromiter(map(math.erfc, a.tolist()), float, a.size)
-    above = 1.0 - below
-    below[below <= 2.0 ** -55] = 0.0
-
-    # Curvature off the chord at s = 1/4 and 3/4: the sum over j >= 2 of
-    # a_j (s^j - s) with the Taylor terms a_j = F^(j)(z) dz^j / j!, where
-    # F^(j)(z) = (-1)^(j-1) H_{j-1}(z) exp(-z^2) / sqrt(pi).  F^(j)(-a) is
-    # (-1)^(j-1) F^(j)(a), so the terms of odd j hold at -a and the terms of
-    # even j change sign.
-    density = np.exp(-a * a) * (1.0 / math.sqrt(math.pi))
-    h_prev, h = np.ones_like(a), 2.0 * a  # Hermite H_0 and H_1
-    curves = np.zeros((2, 2, a.size))  # [even j, odd j] x [s = 1/4, 3/4]
-    for j in range(2, 6):
-        term = ((-1) ** (j - 1) * dz ** j / math.factorial(j)) * h * density
-        curves[j % 2, 0] += (0.25 ** j - 0.25) * term
-        curves[j % 2, 1] += (0.75 ** j - 0.75) * term
-        h_prev, h = h, 2.0 * a * h - 2.0 * (j - 1) * h_prev
-    odd, even = curves[1], curves[0]
-    upper = _pinned_cubics(above[:-1], above[1:], *(odd + even)[:, :-1])
-    # The rows of k = -n-1 .. -1 start at -a for a = a_{n+1} .. a_1.
-    lower = _pinned_cubics(below[:0:-1], below[-2::-1], *(odd - even)[:, :0:-1])
-    lower[below[:0:-1] + below[-2::-1] == 0.0] = 0.0
-    return np.concatenate((upper, lower))
-
-
-def _evaluate(table: np.ndarray, t: np.ndarray, out=None, mode: str = "raise") -> np.ndarray:
+def _evaluate(table: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
     """The table's piecewise cubic at the 1-d positions t, in knots: row
-    floor(t) at s = t - floor(t).  Overwrites t with s; ``mode`` is
-    ``take``'s index mode."""
+    floor(t) at s = t - floor(t), with an index past either end wrapped
+    around.  Overwrites t with s."""
     k = np.floor(t)
     t -= k
-    c3, c2, c1, f = table.take(k.astype(np.intp), axis=0, mode=mode).T
+    c3, c2, c1, f = table.take(k.astype(np.intp), axis=0, mode="wrap").T
     y = np.multiply(c3, t, out=out)
     y += c2
     y *= t
@@ -155,6 +126,24 @@ def _evaluate(table: np.ndarray, t: np.ndarray, out=None, mode: str = "raise") -
     y *= t
     y += f
     return y
+
+
+def _erfc_half(z: np.ndarray) -> np.ndarray:
+    """F(z) = 0.5 erfc(-z), relative to its own size in the lower tail."""
+    return 0.5 * np.fromiter(map(math.erfc, (-z).tolist()), float, z.size)
+
+
+@cache
+def _cdf_table() -> np.ndarray:
+    """Rows for the knots k = 0 .. n, then k = -n-1 .. -1, so that a
+    negative knot index reads its row from the end of the table."""
+    n = _CDF_SPAN
+    table = _tabulate(_erfc_half, -(n + 1) / _CDF_KNOTS, _CDF_KNOTS, 2 * n + 2)
+    # 0 where 0.5 (1 + erf(z)) rounds to 0: each row that ends at or below
+    # 2**-55.  Zeroing knot values before the curvature is sampled would
+    # leave the first nonzero row non-monotone.
+    table[np.append(table[1:, 3], 1.0) <= 2.0 ** -55] = 0.0
+    return np.roll(table, -(n + 1), axis=0)
 
 
 def cdf(v, scale: float):
@@ -177,17 +166,10 @@ def cdf(v, scale: float):
 
 def _as241_tail(rho: np.ndarray) -> np.ndarray:
     """AS241's quantile at 1 - p for rho = sqrt(-log p) >= 1.6."""
-    far = rho > 5.0
-    if not far.any():
-        a = rho - 1.6
-        x = _polynomial(_C, a)
-        x /= _polynomial(_D, a)
-        return x
-    x = np.empty_like(rho)
-    x[~far] = _as241_tail(rho[~far])
-    b = rho[far] - 5.0
-    x[far] = _polynomial(_E, b) / _polynomial(_F, b)
-    return x
+    a = rho - 1.6
+    b = rho - 5.0
+    return np.where(rho > 5.0, _polynomial(_E, b) / _polynomial(_F, b),
+                    _polynomial(_C, a) / _polynomial(_D, a))
 
 
 def _g(r: np.ndarray) -> np.ndarray:
@@ -199,17 +181,6 @@ def _g(r: np.ndarray) -> np.ndarray:
     q = np.sqrt(r[~central])
     out[~central] = _as241_tail(np.sqrt(-np.log(0.5 - q))) / q
     return out
-
-
-def _tabulate(f, start: float, knots: int, rows: int) -> np.ndarray:
-    """Rows of the pinned cubics of f on [start + i / knots, start + (i + 1) / knots)."""
-    step = 1.0 / knots
-    x = start + np.arange(rows + 1) * step
-    y = f(x)
-    chord = y[1:] - y[:-1]
-    curve_1 = f(x[:-1] + 0.25 * step) - y[:-1] - 0.25 * chord
-    curve_3 = f(x[:-1] + 0.75 * step) - y[:-1] - 0.75 * chord
-    return _pinned_cubics(y[:-1], y[1:], curve_1, curve_3)
 
 
 @cache
@@ -235,7 +206,7 @@ def _tails(u: np.ndarray, table: np.ndarray) -> np.ndarray:
     t = np.minimum(rho, 5.0)
     t -= _RHO_START
     t *= _RHO_KNOTS
-    x = _evaluate(table, t, mode="clip")
+    x = _evaluate(table, t)
     far = rho >= 5.0  # rho = 5 itself would read past the last row
     if far.any():
         x[far] = _as241_tail(rho[far])
@@ -259,7 +230,7 @@ def quantile(u):
             tails.append(tail + a)
         np.fmin(t, _R_CENTRAL, out=t)
         t *= _R_KNOTS
-        out = _evaluate(central, t, out=x[a:a + _CHUNK], mode="clip")
+        out = _evaluate(central, t, out=x[a:a + _CHUNK])
         out *= q
     if tails:
         tail = np.concatenate(tails)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import normal
-from .errors import ValidationError
+from .errors import ValidationError, json_number
 from .model import _as_index
 
 _SQRT2 = math.sqrt(2.0)
@@ -207,7 +207,7 @@ def distribution_from_config(obj) -> Distribution:
         if not isinstance(pts, list):
             raise ValidationError("discrete config needs a 'points' array")
         try:
-            points = tuple((_json_number(o), _json_number(p)) for o, p in pts)
+            points = tuple((json_number(o), json_number(p)) for o, p in pts)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 "discrete config 'points' must be [offset, probability] number pairs"
@@ -216,22 +216,11 @@ def distribution_from_config(obj) -> Distribution:
     raise ValidationError(f"unknown distribution kind {kind!r}")
 
 
-def _json_number(value) -> float:
-    """A JSON number (an int or a float, not a bool) as a float.
-
-    Anything else raises ``TypeError``, and an int beyond the float range
-    raises ``OverflowError``.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise TypeError(f"not a number: {value!r}")
-
-
 def _config_number(obj: dict, kind: str, key: str) -> float:
     if key not in obj:
         raise ValidationError(f"{kind} config needs {key!r}")
     try:
-        return _json_number(obj[key])
+        return json_number(obj[key])
     except (TypeError, OverflowError):
         raise ValidationError(f"{kind} config {key!r} must be a number, got {obj[key]!r}") from None
 

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, read_json, read_text
+from .errors import FormatError, ValidationError, json_number, read_json, read_text
 from .exact import pg2_exact
 from .model import TreeEnsemble, _as_index, as_feature_vector
-from .perturb import PerturbationSpec, _json_number
+from .perturb import PerturbationSpec
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def load_attributions(path) -> np.ndarray:
         rows = read_json(path, "attributions")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise FormatError(f"{path}: expected an array of arrays")
-        number = _json_number  # a bool or a numeric string is not a JSON number
+        number = json_number  # a bool or a numeric string is not a JSON number
     else:
         text = read_text(path, "attributions")
         rows = [line.split(",") for line in text.splitlines() if line.strip()]

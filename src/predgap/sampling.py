@@ -72,9 +72,13 @@ def _draw_matrix(columns: int, count: int, what: str, spare: int = 0) -> np.ndar
 
 
 def _draws(vec, feats, spec, config, spare: int) -> np.ndarray:
-    """The draws of ``perturbed_inputs`` as the first n columns of a
-    (|S|, n + spare) matrix, one row per feature of S; the ``spare`` columns
-    after them hold no draw.
+    """One perturbed draw per iteration as the first n columns of a
+    (|S|, n + spare) matrix, one row per feature of the ascending ``feats``;
+    the ``spare`` columns after them hold no draw.  Row j holds
+    ``vec[feats[j]]`` plus that feature's noise; the features outside S
+    keep ``vec``'s values and get no row.  The transpose of the first n
+    columns is the F-contiguous (n, |S|) matrix ``predict_batch`` walks.
+    A perturbed value beyond the float range raises ``NumericDomainError``.
 
     MC draws each feature's noise in turn from one seeded generator and adds
     x to it in that feature's row.  QMC maps Halton points 1 .. n + spare
@@ -102,23 +106,6 @@ def _draws(vec, feats, spec, config, spare: int) -> np.ndarray:
                 f"perturbed feature {q} leaves the float range; lower its noise scale"
             )
     return X
-
-
-def perturbed_inputs(
-    vec: np.ndarray, feats: tuple[int, ...], spec: PerturbationSpec, config: EstimatorConfig
-) -> np.ndarray:
-    """The perturbed features of one draw per iteration, as an (n, |S|) matrix.
-
-    Column j holds ``vec[feats[j]]`` plus that feature's noise, for the
-    ascending ``feats``; the features outside S keep ``vec``'s values and get
-    no column.  MC draws the features in that order from one seeded
-    generator.  QMC assigns Halton coordinate j to column j and ignores the
-    seed; the sequence is deterministic.  The draws are laid out feature by
-    feature, and the matrix is an F-contiguous view of them, which
-    ``predict_batch`` walks without a copy.  A perturbed value beyond the
-    float range raises ``NumericDomainError``.
-    """
-    return _draws(vec, feats, spec, config, 0).T
 
 
 def _sampled_gaps(ensemble, x, features, spec, config):

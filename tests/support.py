@@ -133,7 +133,7 @@ def walk_oracle(ensemble, X) -> np.ndarray:
 
 
 def perturbed_inputs_oracle(vec, feats, spec, config) -> np.ndarray:
-    """``sampling.perturbed_inputs`` built row-major: n copies of ``vec[feats]``,
+    """The (n, |S|) draws of ``sampling._draws`` built row-major: n copies of ``vec[feats]``,
     to whose column j feature ``feats[j]``'s noise is added, feature by
     feature (MC draws from one generator, or Halton coordinate j through the
     inverse CDF)."""

@@ -4,6 +4,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -694,6 +698,58 @@ def test_deep_chain_model(tmp_path, capsys):
 def test_too_deeply_nested_model_is_a_format_error(tmp_path, capsys):
     assert main(_chain_files(tmp_path, 2000, 0.0)) == 3
     assert "nested too deeply" in capsys.readouterr().err
+
+
+_BOM = "\ufeff"  # the UTF-8 byte-order mark that Excel's "CSV UTF-8" writes first
+
+
+def test_a_csv_with_a_byte_order_mark_names_its_first_column(workdir, capsys):
+    (workdir / "data.csv").write_text(_BOM + "y,a,b\n1.0,-1.0,0.5\n0.0,0.5,-0.3\n",
+                                      encoding="utf-8")
+    rc = main(["pg2", *_model_arg(workdir), "--label-column", "y", "--point-index", "0",
+               "--features", "0", "--sigma", "1.0", "--method", "exact"])
+    assert rc == 0
+    assert capsys.readouterr().out == "0.158655254\n"
+
+
+def test_a_model_with_a_byte_order_mark_loads(workdir, capsys):
+    model = workdir / "model.json"
+    model.write_text(_BOM + model.read_text(encoding="utf-8"), encoding="utf-8")
+    rc = main(["pg2", *_model_arg(workdir), "--point-index", "0", "--features", "0",
+               "--sigma", "1.0", "--method", "exact"])
+    assert rc == 0
+    assert capsys.readouterr().out == "0.158655254\n"
+
+
+_TABLES_BUILT = """
+import sys
+import predgap.cli
+from predgap import normal
+
+def built():
+    return normal._cdf_table.cache_info().currsize, normal._quantile_tables.cache_info().currsize
+
+assert built() == (0, 0), built()
+rc = predgap.cli.main(["pg2", "--model", sys.argv[1], "--data", sys.argv[2], "--point-index", "0",
+                       "--features", "0,1", "--sigma", "0.5", "--method", sys.argv[3]])
+assert rc == 0
+print(*built())
+"""
+
+
+@pytest.mark.parametrize("method, built", [("exact", "1 0"), ("qmc", "0 1")])
+def test_importing_builds_no_table_and_a_query_builds_its_own(workdir, method, built):
+    # the normal CDF and quantile tables are built on first use, so a
+    # process pays only for the one its method evaluates
+    src = str(Path(pg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", _TABLES_BUILT, str(workdir / "model.json"),
+         str(workdir / "data.csv"), method],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == built
 
 
 def test_exit_code_usage_error():

@@ -292,11 +292,10 @@ def test_halton_base2_partitions_unit_interval(k):
 
 def test_independent_coordinates_have_near_zero_covariance():
     spec = pg.PerturbationSpec.gaussian(1.0, 3)
-    from predgap.sampling import EstimatorConfig, perturbed_inputs
+    from predgap.sampling import EstimatorConfig, _draws
 
-    X = perturbed_inputs(
-        np.zeros(3), (0, 1, 2), spec, EstimatorConfig("mc", 200_000, seed=9)
-    )
+    n = 200_000
+    X = _draws(np.zeros(3), (0, 1, 2), spec, EstimatorConfig("mc", n, seed=9), 0)[:, :n].T
     cov = np.cov(X.T)
     off_diagonal = cov[~np.eye(3, dtype=bool)]
     assert np.abs(off_diagonal).max() < 0.02

@@ -5,6 +5,7 @@ import pytest
 
 import predgap as pg
 from predgap.errors import ValidationError
+from predgap.sampling import _draws
 
 from support import (
     CANONICAL_PG2,
@@ -105,12 +106,8 @@ def test_config_validation():
 def test_qmc_multifeature_assignment_is_ascending():
     # three perturbed features get Halton bases 2, 3, 5 in feature order, in
     # matrix columns 0, 1, 2; the unperturbed feature 2 gets no column
-    from predgap.sampling import perturbed_inputs
-
     spec = pg.PerturbationSpec.gaussian(1.0, 4)
-    X = perturbed_inputs(
-        np.zeros(4), (0, 1, 3), spec, pg.EstimatorConfig("qmc", 8)
-    )
+    X = _draws(np.zeros(4), (0, 1, 3), spec, pg.EstimatorConfig("qmc", 8), 0)[:, :8].T
     assert X.shape == (8, 3)
     U = pg.halton_matrix(8, 3)
     g = pg.Gaussian(1.0)
@@ -122,8 +119,6 @@ def test_qmc_multifeature_assignment_is_ascending():
 def test_perturbed_inputs_equal_the_row_major_oracle():
     # the draws are made feature by feature into a (|S|, n) array and handed
     # out as its F-contiguous transpose, with the values of n tiled rows
-    from predgap.sampling import perturbed_inputs
-
     rng = np.random.default_rng(33)
     d = 6
     specs = [
@@ -143,7 +138,7 @@ def test_perturbed_inputs_equal_the_row_major_oracle():
                     pg.EstimatorConfig("mc", n, seed=int(rng.integers(1 << 32))),
                     pg.EstimatorConfig("qmc", n),
                 ):
-                    X = perturbed_inputs(x, feats, spec, config)
+                    X = _draws(x, feats, spec, config, 0)[:, :n].T
                     assert X.shape == (n, len(feats)) and X.flags.f_contiguous
                     assert np.array_equal(X, perturbed_inputs_oracle(x, feats, spec, config))
 
@@ -276,14 +271,12 @@ def test_samplers_take_f_of_x_from_the_conditioned_walk(monkeypatch, tmp_path):
 
 
 def test_oversized_draw_counts_raise_validation_error():
-    from predgap.sampling import perturbed_inputs
-
     ens = canonical_ensemble(num_features=2)
     spec = pg.PerturbationSpec.gaussian(1.0, 2)
     for method in ("mc", "qmc"):
         config = pg.EstimatorConfig(method, 2 ** 62)
         with pytest.raises(ValidationError, match=f"iterations {2 ** 62} "):
-            perturbed_inputs(np.zeros(2), [0, 1], spec, config)
+            _draws(np.zeros(2), [0, 1], spec, config, 0)
     data = pg.Dataset(values=np.zeros((3, 2)), feature_names=("a", "b"))
     with pytest.raises(ValidationError, match=f"sample count {2 ** 62} "):
         pg.xi_random(ens, [0.0, 0.0], [1], data, samples=2 ** 62)
