@@ -293,7 +293,7 @@ def run_benchmark(
         raise ValidationError(
             f"data has {dataset.num_features} features, model expects {ensemble.num_features}"
         )
-    pair_list = sample_pairs(dataset, ensemble.num_features, pairs, seed=seed, sizes=sizes)
+    pair_list = sample_pairs(dataset, pairs, seed=seed, sizes=sizes)
     specs = [PerturbationSpec.gaussian(s, ensemble.num_features) for s in sigmas]
     # Built before the pool starts, so fork workers share the conditioned ensembles.
     queries = [

@@ -12,7 +12,7 @@ from .errors import FormatError, ValidationError, read_text
 from .model import _as_index, _as_seed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable table of numeric instances, one feature per column."""
 
@@ -58,10 +58,12 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
     Returns ``(dataset, labels)`` where labels is None unless a label column
     was named; the label column and any ``exclude`` columns (e.g. categorical
     ones, which are never dropped automatically) stay out of the features.
-    Each cell is read with Python's ``float``.  The rows are converted in one
-    pass and the matrix is built once; a ragged row or a non-numeric cell
-    makes a second, row-by-row scan raise the ``FormatError`` of the first
-    one in file order.
+    A named column must match exactly one header cell; unnamed columns may
+    share a name, since features are positional.  Each cell is read with
+    Python's ``float``.  The rows are converted in one pass and the matrix
+    is built once; a ragged row or a non-numeric cell makes a second,
+    row-by-row scan raise the ``FormatError`` of the first one in file
+    order.
     """
     reader = csv.reader(io.StringIO(read_text(path, "data"), newline=""))
     try:
@@ -72,8 +74,9 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
         raise FormatError(f"{path}: missing header row")
     header = [name.strip() for name in rows[0]]
     for name in [label_column, *(exclude or [])]:
-        if name is not None and name not in header:
-            raise ValidationError(f"{path}: no column named {name!r}")
+        if name is not None and header.count(name) != 1:
+            problem = "no column" if name not in header else "more than one column"
+            raise ValidationError(f"{path}: {problem} named {name!r}")
     label_idx = None if label_column is None else header.index(label_column)
     dropped = {label_idx, *(header.index(name) for name in exclude or [])}
     feature_cols = [j for j in range(len(header)) if j not in dropped]
@@ -120,22 +123,23 @@ def _raise_first_bad_row(path, header, columns, body) -> None:
 
 def sample_pairs(
     dataset: Dataset,
-    num_features: int,
     count: int,
     seed: int = 0,
     sizes: list[int] | None = None,
 ) -> list[PairSample]:
     """Draw ``count`` (instance, feature subset) pairs for benchmarking.
 
-    Subset sizes cycle through ``sizes`` (default 1..d) so that all sizes are
-    as evenly represented as possible; when the count is not divisible the
-    earlier sizes in the cycle receive the extras.
+    Subsets are drawn from the dataset's d features, and their sizes cycle
+    through ``sizes`` (default 1..d) so that all sizes are as evenly
+    represented as possible; when the count is not divisible the earlier
+    sizes in the cycle receive the extras.
     """
     count, seed = _as_index(count, "pair count"), _as_seed(seed)
     if count < 1:
         raise ValidationError(f"need at least one pair, got {count}")
     if dataset.num_instances < 1:
         raise ValidationError("dataset has no instances")
+    num_features = dataset.num_features
     if sizes is None:
         sizes = list(range(1, num_features + 1))
     sizes = [_as_index(k, "subset size") for k in sizes]

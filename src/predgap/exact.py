@@ -29,9 +29,9 @@ y != 0; every block of any other tree adds exactly 0.0, so only pairs of
 live trees get one.  The work is 2 |S| A CDF evaluations for A alive leaves
 plus |S| * sum_{i<j} A_i A_j min/max/subtract over live trees i, j with A_i
 alive leaves.  The CDFs take one ``cdf_below`` array call, and the diagonal
-one ``interval_prob`` array call, per distinct distribution object among the
-perturbed features (``PerturbationSpec.same`` gives them all one); memory is
-one block.
+one ``interval_prob`` array call, when every perturbed feature has the same
+distribution object (``PerturbationSpec.same`` gives them all one), and one
+call per perturbed feature otherwise; memory is one block.
 
 ``leaf_pair_probabilities`` builds the whole of P instead, filling the
 (A, A) block of all alive leaves in place from the same factors, a strip of
@@ -46,6 +46,7 @@ L^2 floats and no Python object per pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -58,6 +59,9 @@ from .perturb import Discrete, PerturbationSpec
 # Entries per row strip of the leaf-pair table's fill: a strip is 256 KiB, so
 # the three a feature touches stay in a typical L2 cache.
 _STRIP = 1 << 15
+
+# The most offset combinations ``pg2_brute_force`` enumerates.
+_MAX_COMBINATIONS = 10_000_000
 
 
 class _PairProbabilities:
@@ -155,30 +159,16 @@ def _alive(boxes, vec, feats, dists):
     return holds, alive, ends[:, 0], ends[:, 1], F[:, 0], F[:, 1]
 
 
-def _by_distribution(dists):
-    """(distribution, positions in ``dists``) for each distinct object.
-
-    Grouping is by identity, so one call covers every feature that shares a
-    distribution object (``PerturbationSpec.same`` repeats one); the calls
-    work elementwise, so each value is the one a per-feature call gives.
-    """
-    groups = {}
-    for k, dist in enumerate(dists):
-        groups.setdefault(id(dist), (dist, []))[1].append(k)
-    return groups.values()
-
-
 def _per_distribution(dists, method, *arrays):
-    """``dists[k].<method>`` of row k of ``arrays``, as one array: one call per
-    distinct distribution object (``_by_distribution``) on the rows it
-    covers, or on the whole arrays when one object covers them all."""
-    groups = _by_distribution(dists)
-    if len(groups) == 1:
-        (dist, _), = groups
-        return getattr(dist, method)(*arrays)
+    """``dists[k].<method>`` of row k of ``arrays``, as one array: one call on
+    the whole arrays when every feature has the same distribution object,
+    otherwise one call per feature.  The calls work elementwise, so both
+    give the per-feature values."""
+    if dists and all(dist is dists[0] for dist in dists):
+        return getattr(dists[0], method)(*arrays)
     out = np.empty(arrays[0].shape)
-    for dist, ks in groups:
-        out[ks] = getattr(dist, method)(*(a[ks] for a in arrays))
+    for k, dist in enumerate(dists):
+        out[k] = getattr(dist, method)(*(a[k] for a in arrays))
     return out
 
 
@@ -316,7 +306,6 @@ def pg2_brute_force(
     x,
     features,
     spec: PerturbationSpec,
-    max_combinations: int = 10_000_000,
 ) -> float:
     """Oracle for all-discrete perturbations: enumerate every offset combo.
 
@@ -331,13 +320,9 @@ def pg2_brute_force(
             raise ValidationError(
                 f"brute force needs discrete distributions; feature {q} has {type(dist).__name__}"
             )
-    total = 1
-    for dist in dists:
-        total *= len(dist.points)
-        if total > max_combinations:
-            raise ValidationError(
-                f"offset combinations exceed the guard of {max_combinations}"
-            )
+    total = math.prod(len(dist.points) for dist in dists)
+    if total > _MAX_COMBINATIONS:
+        raise ValidationError(f"offset combinations exceed the guard of {_MAX_COMBINATIONS}")
     c = ensemble.predict(vec)
     X = np.tile(vec, (total, 1))
     weights = np.ones(total, dtype=np.float64)

@@ -192,7 +192,7 @@ def _parse_tree(root, read_node, where: str) -> Tree:
     return tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeafBoxes:
     """Every leaf of an ensemble as the half-open box its root path allows.
 

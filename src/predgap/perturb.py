@@ -170,10 +170,6 @@ class PerturbationSpec:
 
     per_feature: tuple[Distribution | None, ...]
 
-    @property
-    def num_features(self) -> int:
-        return len(self.per_feature)
-
     def distribution_for(self, feature: int) -> Distribution:
         if not 0 <= feature < len(self.per_feature):
             raise ValidationError(

@@ -76,25 +76,15 @@ def ranking_from_attribution(phi) -> Ranking:
     return Ranking(order=tuple(order))
 
 
-def topk_agreement(
-    rankings_a: list[Ranking], rankings_b: list[Ranking], k: int, ordered: bool = False
-) -> float:
-    """Fraction of positions whose top-k features agree.
-
-    By default the top-k prefixes are compared as sets; ``ordered=True``
-    requires the same sequence instead.
-    """
+def topk_agreement(rankings_a: list[Ranking], rankings_b: list[Ranking], k: int) -> float:
+    """Fraction of positions whose top-k features agree as sets."""
     if len(rankings_a) != len(rankings_b):
         raise ValidationError(
             f"ranking lists differ in length: {len(rankings_a)} vs {len(rankings_b)}"
         )
     if not rankings_a:
         raise ValidationError("need at least one ranking pair")
-    matches = 0
-    for a, b in zip(rankings_a, rankings_b):
-        pa, pb = a.prefix(k), b.prefix(k)
-        if (pa == pb) if ordered else (set(pa) == set(pb)):
-            matches += 1
+    matches = sum(set(a.prefix(k)) == set(b.prefix(k)) for a, b in zip(rankings_a, rankings_b))
     return matches / len(rankings_a)
 
 

@@ -71,40 +71,40 @@ def _draw_matrix(columns: int, count: int, what: str, spare: int = 0) -> np.ndar
         return np.empty((columns, count + spare))
 
 
-def _draws(vec, feats, spec, config, spare: int) -> np.ndarray:
+def _draws(vec, feats, dists, config) -> np.ndarray:
     """One perturbed draw per iteration as the first n columns of a
-    (|S|, n + spare) matrix, one row per feature of the ascending ``feats``;
-    the ``spare`` columns after them hold no draw.  Row j holds
-    ``vec[feats[j]]`` plus that feature's noise; the features outside S
-    keep ``vec``'s values and get no row.  The transpose of the first n
-    columns is the F-contiguous (n, |S|) matrix ``predict_batch`` walks.
-    A perturbed value beyond the float range raises ``NumericDomainError``.
+    (|S|, n + 1) matrix, and ``vec[feats]`` as its last column: one row per
+    feature of the ascending ``feats``, whose distributions are ``dists``.
+    Row j holds ``vec[feats[j]]`` plus that feature's noise; the features
+    outside S keep ``vec``'s values and get no row.  The transpose is the
+    F-contiguous (n + 1, |S|) matrix ``predict_batch`` walks.  A perturbed
+    value beyond the float range raises ``NumericDomainError``.
 
     MC draws each feature's noise in turn from one seeded generator and adds
-    x to it in that feature's row.  QMC maps Halton points 1 .. n + spare
-    through the inverse CDFs, one ``inv_cdf_n`` call per distinct
-    distribution object over all of its coordinates; the result is the
+    x to it in that feature's row.  QMC maps Halton points 1 .. n + 1
+    through the inverse CDFs (``_per_distribution``); the result is the
     matrix, and x is added to it in place.
     """
     n = config.iterations
-    dists = [spec.distribution_for(q) for q in feats]
+    xS = vec[list(feats)]
     # A huge noise scale overflows; the check below names the feature.
     with np.errstate(over="ignore"):
         if config.method == "mc":
-            X = _draw_matrix(len(feats), n, "iterations", spare)
+            X = _draw_matrix(len(feats), n, "iterations", 1)
             rng = np.random.default_rng(config.seed)
             for j, (q, dist) in enumerate(zip(feats, dists)):
                 np.add(vec[q], dist.sample_n(rng, n), out=X[j, :n])
         else:
             with _allocating("iterations", n):
-                U = halton_matrix(n + spare, len(feats)).T  # a contiguous row per coordinate
+                U = halton_matrix(n + 1, len(feats)).T  # a contiguous row per coordinate
             X = _per_distribution(dists, "inv_cdf_n", U)
-            np.add(X[:, :n], vec[list(feats)][:, None], out=X[:, :n])
+            np.add(X[:, :n], xS[:, None], out=X[:, :n])
     for q, row in zip(feats, X[:, :n]):
         if not np.isfinite(row).all():
             raise NumericDomainError(
                 f"perturbed feature {q} leaves the float range; lower its noise scale"
             )
+    X[:, n] = xS
     return X
 
 
@@ -117,14 +117,11 @@ def _sampled_gaps(ensemble, x, features, spec, config):
     ``ensemble.predict(x)``, bit for bit, without building the full
     ensemble's leaf boxes.
     """
-    vec, feats, _ = _check_query(ensemble, x, features, spec)
+    vec, feats, dists = _check_query(ensemble, x, features, spec)
     if not feats:
         return None
-    n = config.iterations
-    X = _draws(vec, feats, spec, config, 1)
-    X[:, n] = vec[feats]
-    walk = ensemble._conditioned(vec, feats).predict_batch(X.T)
-    return walk[:n] - walk[n]
+    walk = ensemble._conditioned(vec, feats).predict_batch(_draws(vec, feats, dists, config).T)
+    return walk[:-1] - walk[-1]
 
 
 def pg2_sampled(

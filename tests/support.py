@@ -310,7 +310,7 @@ def benchmark_report_oracle(
     ``pg2_sampled`` call per pair, grid count and method (and MC repetition),
     MC seeded from the entropy [seed, sigma index, iterations, repetition,
     pair index]."""
-    pair_list = pg.sample_pairs(dataset, ensemble.num_features, pairs, seed=seed, sizes=sizes)
+    pair_list = pg.sample_pairs(dataset, pairs, seed=seed, sizes=sizes)
     queries = [(dataset.instance(p.instance_index), p.feature_set) for p in pair_list]
     entries = []
     for sigma_idx, sigma in enumerate(sigmas):

@@ -18,7 +18,14 @@ import predgap as pg
 from predgap.cli import build_parser, format_value, main, report_to_json
 from predgap.errors import NumericDomainError, exit_code_for
 
-from support import benchmark_report_oracle, canonical_ensemble, leaf, random_ensemble
+from support import (
+    benchmark_report_oracle,
+    canonical_ensemble,
+    lattice_point,
+    leaf,
+    pg2_pair_oracle,
+    random_ensemble,
+)
 
 
 @pytest.fixture
@@ -81,6 +88,37 @@ def test_pg2_dist_config(workdir, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pg2_per_feature_dist_config_equals_the_library(tmp_path, capsys):
+    # a list config gives each feature its own distribution object, and none
+    # to feature 3, outside S: the exact engine and the QMC sampler call each
+    # perturbed feature's distribution on its own rows
+    rng = np.random.default_rng(41)
+    model, data, config = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "dist.json"
+    pg.save_ensemble(random_ensemble(rng, num_features=4, num_trees=5, max_depth=4), model)
+    data.write_text("a,b,c,d\n" + ",".join(map(repr, lattice_point(rng, 4).tolist())) + "\n")
+    entries = [
+        {"kind": "gaussian", "sigma": 0.7},
+        {"kind": "uniform", "half_width": 0.9},
+        {"kind": "discrete", "points": [[-1.0, 0.25], [0.5, 0.5], [2.0, 0.25]]},
+        None,
+    ]
+    config.write_text(json.dumps(entries))
+    ens, (dataset, _) = pg.load_ensemble(model), pg.load_csv(data)
+    x, S, spec = dataset.instance(0), [0, 1, 2], pg.spec_from_config(entries, 4)
+    exact = pg.pg2_exact(ens, x, S, spec)
+    assert exact > 0.0 and exact == pg2_pair_oracle(ens, x, S, spec)
+    for method, value in (
+        ("exact", exact),
+        ("mc", pg.pg2_sampled(ens, x, S, spec, pg.EstimatorConfig("mc", 3000, seed=5))),
+        ("qmc", pg.pg2_sampled(ens, x, S, spec, pg.EstimatorConfig("qmc", 3000))),
+    ):
+        argv = ["pg2", "--model", str(model), "--data", str(data), "--point-index", "0",
+                "--features", "0,1,2", "--dist-config", str(config), "--method", method,
+                "--iterations", "3000", "--seed", "5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == format_value(value) + "\n", method
+
+
 def test_pg2_uniform_noise_far_below_the_threshold_is_silent(tmp_path, capsys):
     # x0 + w is 1e10 below the split, so the CDF's quotient would overflow
     # for w = 1e-300 if v were not clamped to [-w, w] first.
@@ -336,7 +374,7 @@ def test_integer_arguments_raise_before_any_work(monkeypatch, call, bad):
         "run_benchmark": (cli_mod.run_benchmark, dict(
             ensemble=ens, dataset=data, sigmas=[0.3], iteration_grid=[10], pairs=2, seed=1)),
         "sample_pairs": (pg.sample_pairs, dict(
-            dataset=data, num_features=2, count=2, seed=0, sizes=[1, 2])),
+            dataset=data, count=2, seed=0, sizes=[1, 2])),
         "xi_random": (pg.xi_random, dict(
             ensemble=ens, x=[0.0, 0.0], keep=[1], dataset=data, samples=3)),
         "randomization_rmse": (pg.randomization_rmse, dict(
@@ -382,7 +420,7 @@ def test_benchmark_builds_one_conditioned_ensemble_per_pair(monkeypatch):
     ens = random_ensemble(rng, num_features=4, num_trees=5, max_depth=4)
     data = pg.Dataset(values=rng.normal(size=(6, 4)).tolist(), feature_names=tuple("abcd"))
     run = dict(sigmas=[0.3, 1.0], iteration_grid=[40, 7], pairs=9, seed=5, sizes=[0, 2, 1, 3])
-    pairs = pg.sample_pairs(data, 4, run["pairs"], seed=run["seed"], sizes=run["sizes"])
+    pairs = pg.sample_pairs(data, run["pairs"], seed=run["seed"], sizes=run["sizes"])
     for workers in (1, 2):
         builds.clear()
         report = cli_mod.run_benchmark(ens, data, workers=workers, repetitions=2, **run)
@@ -408,7 +446,7 @@ def test_benchmark_walks_each_sampler_call_once(monkeypatch):
     ens = random_ensemble(rng, num_features=4, num_trees=5, max_depth=4)
     data = pg.Dataset(values=rng.normal(size=(6, 4)).tolist(), feature_names=tuple("abcd"))
     run = dict(sigmas=[0.3, 1.0], iteration_grid=[40, 7], pairs=9, seed=5, sizes=[0, 2, 1, 3])
-    pairs = pg.sample_pairs(data, 4, run["pairs"], seed=run["seed"], sizes=run["sizes"])
+    pairs = pg.sample_pairs(data, run["pairs"], seed=run["seed"], sizes=run["sizes"])
     cli_mod.run_benchmark(ens, data, workers=1, repetitions=2, **run)
     per_pair = [41, 41, 41, 8, 8]
     busy = sum(1 for p in pairs if p.feature_set)
@@ -672,6 +710,20 @@ def test_malformed_inputs_exit_3(workdir, capsys, monkeypatch, name, content, ar
     rc = main([command, *model, *(a.format(path=path) for a in rest)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("pg2: error: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--label-column", "y", "--exclude-columns", "a"],
+    ["--label-column", "a"],
+])
+def test_a_named_column_that_appears_twice_exits_3(workdir, capsys, flags):
+    # with either column "a" dropped, two features would be left for the
+    # two-feature model; the flag names the column, so neither is guessed
+    (workdir / "data.csv").write_text("a,a,b,y\n-1.0,0.5,0.1,1.0\n")
+    assert main([*_PG2[:1], *_model_arg(workdir), *_PG2[1:], *flags]) == 3
+    assert capsys.readouterr().err == (
+        f"pg2: error: {workdir / 'data.csv'}: more than one column named 'a'\n"
+    )
 
 
 def _chain_files(tmp_path, depth, x0):

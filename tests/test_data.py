@@ -39,6 +39,27 @@ def test_load_csv_exclude_columns(tmp_path):
         pg.load_csv(path, exclude=["shade"])
 
 
+def test_load_csv_rejects_a_named_column_that_appears_twice(tmp_path):
+    # naming "a" could mean either column, so neither is guessed; columns no
+    # flag names may share a name, since features are positional
+    path = _write(tmp_path, "a,a,y\n1.0,2.0,3.0\n")
+    for kwargs in (dict(label_column="y", exclude=["a"]), dict(label_column="a")):
+        with pytest.raises(ValidationError, match="more than one column named 'a'"):
+            pg.load_csv(path, **kwargs)
+    data, labels = pg.load_csv(path, label_column="y")
+    assert data.feature_names == ("a", "a") and data.values.tolist() == [[1.0, 2.0]]
+    assert labels.tolist() == [3.0]
+
+
+def test_datasets_compare_and_hash_by_identity():
+    # == compares the objects, never the arrays elementwise, which would
+    # have no single truth value
+    a = pg.Dataset(values=np.zeros((2, 2)), feature_names=("a", "b"))
+    b = pg.Dataset(values=np.zeros((2, 2)), feature_names=("a", "b"))
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def test_load_csv_non_numeric_cell_named(tmp_path):
     path = _write(tmp_path, "a,b\n1.0,2.0\n3.0,abc\n")
     with pytest.raises(FormatError, match=r"line 3.*'b'.*'abc'"):
@@ -99,16 +120,17 @@ def test_load_csv_raises_the_first_error_in_file_order(tmp_path, text, message):
 
 def test_sample_pairs_size_cycle():
     data = pg.Dataset(values=np.zeros((5, 3)), feature_names=("a", "b", "c"))
-    pairs = pg.sample_pairs(data, 3, 3, seed=0)
+    pairs = pg.sample_pairs(data, 3, seed=0)
     assert [len(p.feature_set) for p in pairs] == [1, 2, 3]
-    pairs5 = pg.sample_pairs(data, 2, 5, seed=0)
+    data2 = pg.Dataset(values=np.zeros((5, 2)), feature_names=("a", "b"))
+    pairs5 = pg.sample_pairs(data2, 5, seed=0)
     assert [len(p.feature_set) for p in pairs5] == [1, 2, 1, 2, 1]
 
 
 def test_sample_pairs_deterministic_and_in_range():
     data = pg.Dataset(values=np.zeros((7, 4)), feature_names=tuple("abcd"))
-    a = pg.sample_pairs(data, 4, 12, seed=9)
-    b = pg.sample_pairs(data, 4, 12, seed=9)
+    a = pg.sample_pairs(data, 12, seed=9)
+    b = pg.sample_pairs(data, 12, seed=9)
     assert a == b
     for p in a:
         assert 0 <= p.instance_index < 7
@@ -118,19 +140,19 @@ def test_sample_pairs_deterministic_and_in_range():
 
 def test_sample_pairs_explicit_sizes_allow_empty():
     data = pg.Dataset(values=np.zeros((3, 2)), feature_names=("a", "b"))
-    pairs = pg.sample_pairs(data, 2, 4, seed=1, sizes=[0, 2])
+    pairs = pg.sample_pairs(data, 4, seed=1, sizes=[0, 2])
     assert [len(p.feature_set) for p in pairs] == [0, 2, 0, 2]
 
 
 def test_sample_pairs_rejects_an_empty_size_cycle():
     data = pg.Dataset(values=np.zeros((3, 2)), feature_names=("a", "b"))
     with pytest.raises(ValidationError, match="subset size"):
-        pg.sample_pairs(data, 2, 4, seed=1, sizes=[])
+        pg.sample_pairs(data, 4, seed=1, sizes=[])
 
 
 def test_sample_pairs_size_histogram_remainder_rule():
     data = pg.Dataset(values=np.zeros((4, 3)), feature_names=("a", "b", "c"))
-    pairs = pg.sample_pairs(data, 3, 8, seed=2)
+    pairs = pg.sample_pairs(data, 8, seed=2)
     counts = {k: 0 for k in (1, 2, 3)}
     for p in pairs:
         counts[len(p.feature_set)] += 1

@@ -183,13 +183,15 @@ def test_brute_force_requires_discrete():
 
 
 def test_brute_force_combination_guard():
-    d = 4
+    # 24 two-point features give 2^24 > 10^7 combinations: the guard raises
+    # before the (2^24, 24) input matrix is built
+    d = 24
     rng = np.random.default_rng(1)
     ens = random_ensemble(rng, num_features=d, num_trees=1, max_depth=2)
-    dist = pg.Discrete(points=tuple((float(k), 0.1) for k in range(10)))
+    dist = pg.Discrete(points=((-1.0, 0.5), (1.0, 0.5)))
     spec = pg.PerturbationSpec.same(dist, d)
-    with pytest.raises(ValidationError, match="guard"):
-        pg.pg2_brute_force(ens, np.zeros(d), range(d), spec, max_combinations=100)
+    with pytest.raises(ValidationError, match="guard of 10000000"):
+        pg.pg2_brute_force(ens, np.zeros(d), range(d), spec)
 
 
 def test_oracle_equivalence_randomized():
@@ -497,10 +499,12 @@ def _count_distribution_calls(monkeypatch):
     return calls
 
 
-def test_one_cdf_call_per_distinct_distribution(monkeypatch):
+def test_one_cdf_call_for_a_shared_distribution_else_one_per_feature(monkeypatch):
     # One Gaussian object on features 0, 2 and 5, and an equal but distinct
-    # Gaussian on feature 4: the engine calls each distribution object once
-    # for all the features it covers, and gives the per-feature values.
+    # Gaussian on feature 4: when every perturbed feature has the same
+    # object, the engine calls it once for all of them, otherwise it calls
+    # each feature's distribution once; either way it gives the per-feature
+    # values.
     rng = np.random.default_rng(23)
     shared = pg.Gaussian(0.7)
     per_feature = (shared, pg.Uniform(1.0), shared, random_discrete(rng), pg.Gaussian(0.7), shared)
@@ -512,12 +516,13 @@ def test_one_cdf_call_per_distinct_distribution(monkeypatch):
         for mask in range(1, 2**d):
             S = [q for q in range(d) if mask >> q & 1]
             x = lattice_point(rng, d)
-            distinct = len({id(per_feature[q]) for q in S})
+            shared_by_all = len({id(per_feature[q]) for q in S}) == 1
+            want = 1 if shared_by_all else len(S)
             calls.update(cdf_below=0, interval_prob=0)
             got = pg.pg2_exact(ens, x, S, spec)
-            assert calls == {"cdf_below": distinct, "interval_prob": distinct}, (n, S)
+            assert calls == {"cdf_below": want, "interval_prob": want}, (n, S)
             calls.update(cdf_below=0, interval_prob=0)
             table = pg.leaf_pair_probabilities(ens, x, S, spec)
-            assert calls == {"cdf_below": distinct, "interval_prob": 0}, (n, S)
+            assert calls == {"cdf_below": want, "interval_prob": 0}, (n, S)
             assert got == pg2_pair_oracle(ens, x, S, spec), (n, S)
             assert table.P.tolist() == pair_table_oracle(ens, x, S, spec).tolist(), (n, S)

@@ -127,6 +127,15 @@ def test_tree_arrays_are_read_only():
         assert copy.predict([0.5]) == copy.predict_batch([[0.5]])[0] == 1.0
 
 
+def test_leaf_boxes_compare_and_hash_by_identity():
+    # a copy holds equal arrays; == compares the objects, never the arrays
+    # elementwise, which would have no single truth value
+    boxes = canonical_ensemble().leaf_boxes
+    other = deepcopy(boxes)
+    assert boxes == boxes and boxes != other
+    assert len({boxes, other}) == 2
+
+
 def test_predict_batch_matches_walk_oracle():
     rng = np.random.default_rng(14)
     ensembles = [

@@ -295,7 +295,7 @@ def test_independent_coordinates_have_near_zero_covariance():
     from predgap.sampling import EstimatorConfig, _draws
 
     n = 200_000
-    X = _draws(np.zeros(3), (0, 1, 2), spec, EstimatorConfig("mc", n, seed=9), 0)[:, :n].T
+    X = _draws(np.zeros(3), (0, 1, 2), spec.per_feature, EstimatorConfig("mc", n, seed=9))[:, :n].T
     cov = np.cov(X.T)
     off_diagonal = cov[~np.eye(3, dtype=bool)]
     assert np.abs(off_diagonal).max() < 0.02
@@ -307,7 +307,7 @@ def test_independent_coordinates_have_near_zero_covariance():
 
 def test_spec_from_config_single_distribution():
     spec = pg.spec_from_config({"kind": "gaussian", "sigma": 0.3}, 4)
-    assert spec.num_features == 4
+    assert len(spec.per_feature) == 4
     assert spec.distribution_for(3) == pg.Gaussian(0.3)
 
 

@@ -146,9 +146,6 @@ def test_topk_agreement_examples():
     assert pg.topk_agreement(a, b, 2) == 1.0          # same top-2 set
     assert pg.topk_agreement(a, b, 1) == 0.0
     assert pg.topk_agreement(a, [pg.Ranking(order=(2, 1, 0))], 1) == 0.0
-    # ordered mode requires the same sequence
-    assert pg.topk_agreement(a, b, 2, ordered=True) == 0.0
-    assert pg.topk_agreement(a, a, 2, ordered=True) == 1.0
 
 
 def test_topk_agreement_validation():

@@ -107,7 +107,8 @@ def test_qmc_multifeature_assignment_is_ascending():
     # three perturbed features get Halton bases 2, 3, 5 in feature order, in
     # matrix columns 0, 1, 2; the unperturbed feature 2 gets no column
     spec = pg.PerturbationSpec.gaussian(1.0, 4)
-    X = _draws(np.zeros(4), (0, 1, 3), spec, pg.EstimatorConfig("qmc", 8), 0)[:, :8].T
+    dists = [spec.distribution_for(q) for q in (0, 1, 3)]
+    X = _draws(np.zeros(4), (0, 1, 3), dists, pg.EstimatorConfig("qmc", 8))[:, :8].T
     assert X.shape == (8, 3)
     U = pg.halton_matrix(8, 3)
     g = pg.Gaussian(1.0)
@@ -117,8 +118,9 @@ def test_qmc_multifeature_assignment_is_ascending():
 
 
 def test_perturbed_inputs_equal_the_row_major_oracle():
-    # the draws are made feature by feature into a (|S|, n) array and handed
-    # out as its F-contiguous transpose, with the values of n tiled rows
+    # the draws are made feature by feature into a (|S|, n + 1) array and
+    # handed out as its F-contiguous transpose, with the values of n tiled
+    # rows and then x[S]
     rng = np.random.default_rng(33)
     d = 6
     specs = [
@@ -138,21 +140,25 @@ def test_perturbed_inputs_equal_the_row_major_oracle():
                     pg.EstimatorConfig("mc", n, seed=int(rng.integers(1 << 32))),
                     pg.EstimatorConfig("qmc", n),
                 ):
-                    X = _draws(x, feats, spec, config, 0)[:, :n].T
-                    assert X.shape == (n, len(feats)) and X.flags.f_contiguous
-                    assert np.array_equal(X, perturbed_inputs_oracle(x, feats, spec, config))
+                    dists = [spec.distribution_for(q) for q in feats]
+                    X = _draws(x, feats, dists, config).T
+                    assert X.shape == (n + 1, len(feats)) and X.flags.f_contiguous
+                    assert np.array_equal(X[:n], perturbed_inputs_oracle(x, feats, spec, config))
+                    assert np.array_equal(X[n], x[list(feats)])
 
 
-def test_qmc_makes_one_inverse_cdf_call_per_distinct_distribution(monkeypatch):
-    # one Gaussian object on features 0, 2 and 4 and an equal but distinct one
-    # on feature 3: each object maps all of its Halton columns in one call,
-    # and the estimate is the per-feature oracle's, bit for bit
+def test_qmc_makes_one_inverse_cdf_call_for_a_shared_distribution_else_one_per_feature(
+    monkeypatch,
+):
+    # one Gaussian object on every feature maps all Halton columns in one
+    # call; with a Uniform on feature 1 and an equal but distinct Gaussian on
+    # feature 3, each feature's columns get their own call; either way the
+    # estimate is the per-feature oracle's, bit for bit
     shared, other = pg.Gaussian(0.7), pg.Gaussian(0.7)
-    spec = pg.PerturbationSpec(per_feature=(shared, pg.Uniform(1.0), shared, other, shared))
+    mixed = pg.PerturbationSpec(per_feature=(shared, pg.Uniform(1.0), shared, other, shared))
     ens = random_ensemble(np.random.default_rng(5), 5, num_trees=3, max_depth=3)
     x = np.zeros(5)
     config = pg.EstimatorConfig("qmc", 500)
-    want = float(np.mean(full_width_squared_gaps(ens, x, range(5), spec, config)))
     calls = []
     real = pg.Gaussian.inv_cdf_n
 
@@ -161,9 +167,15 @@ def test_qmc_makes_one_inverse_cdf_call_per_distinct_distribution(monkeypatch):
         return real(self, u)
 
     monkeypatch.setattr(pg.Gaussian, "inv_cdf_n", counting)
-    assert pg.pg2_sampled(ens, x, range(5), spec, config) == want
     # 500 draws and the spare Halton point that f(x)'s row overwrites
-    assert sorted(calls) == sorted([(id(shared), (3, 501)), (id(other), (1, 501))])
+    for spec, want_calls in (
+        (pg.PerturbationSpec.same(shared, 5), [(id(shared), (5, 501))]),
+        (mixed, [(id(shared), (501,))] * 3 + [(id(other), (501,))]),
+    ):
+        want = float(np.mean(full_width_squared_gaps(ens, x, range(5), spec, config)))
+        calls.clear()
+        assert pg.pg2_sampled(ens, x, range(5), spec, config) == want
+        assert sorted(calls) == sorted(want_calls)
 
 
 def test_estimators_equal_the_full_width_walk_bit_for_bit():
@@ -276,7 +288,7 @@ def test_oversized_draw_counts_raise_validation_error():
     for method in ("mc", "qmc"):
         config = pg.EstimatorConfig(method, 2 ** 62)
         with pytest.raises(ValidationError, match=f"iterations {2 ** 62} "):
-            _draws(np.zeros(2), [0, 1], spec, config, 0)
+            _draws(np.zeros(2), [0, 1], spec.per_feature, config)
     data = pg.Dataset(values=np.zeros((3, 2)), feature_names=("a", "b"))
     with pytest.raises(ValidationError, match=f"sample count {2 ** 62} "):
         pg.xi_random(ens, [0.0, 0.0], [1], data, samples=2 ** 62)
