@@ -60,17 +60,19 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
     ones, which are never dropped automatically) stay out of the features.
     A named column must match exactly one header cell; unnamed columns may
     share a name, since features are positional.  Each cell is read with
-    Python's ``float``.  The rows are converted in one pass and the matrix
-    is built once; a ragged row or a non-numeric cell makes a second,
-    row-by-row scan raise the ``FormatError`` of the first one in file
-    order.
+    Python's ``float``.  A line with no cells is not a record, wherever it
+    stands.  The rows are converted in one pass and the matrix is built
+    once; a ragged row or a non-numeric cell makes a second, row-by-row scan
+    raise the ``FormatError`` of the first one in file order.  Errors name
+    the file line the record starts on.
     """
-    reader = csv.reader(io.StringIO(read_text(path, "data"), newline=""))
+    text = read_text(path, "data")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = list(reader)
+        rows = list(filter(None, reader))
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows or not rows[0]:
+    if not rows:
         raise FormatError(f"{path}: missing header row")
     header = [name.strip() for name in rows[0]]
     for name in [label_column, *(exclude or [])]:
@@ -92,7 +94,7 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
         cells = [row[j] for row in body for j in columns]
         table = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
     except ValueError:
-        _raise_first_bad_row(path, header, columns, body)
+        _raise_first_bad_row(path, text, header, columns, body)
     table = table.reshape(len(body), len(columns))
     matrix = table[:, : len(feature_cols)]
     labels = None
@@ -101,15 +103,28 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
         bad = np.flatnonzero(~np.isfinite(labels))
         if bad.size:
             raise ValidationError(
-                f"{path}: line {bad[0] + 2}, column {label_column!r}: non-finite label"
+                f"{path}: line {_record_lines(text)[bad[0] + 1]}, column {label_column!r}: "
+                "non-finite label"
             )
     dataset = Dataset(values=matrix, feature_names=tuple(header[j] for j in feature_cols))
     return dataset, labels
 
 
-def _raise_first_bad_row(path, header, columns, body) -> None:
+def _record_lines(text) -> list[int]:
+    """The file line each record of the CSV ``text`` starts on, blank lines
+    skipped: a quoted cell may span lines, so records and lines differ."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    starts, end = [], 0
+    for row in reader:
+        if row:
+            starts.append(end + 1)
+        end = reader.line_num
+    return starts
+
+
+def _raise_first_bad_row(path, text, header, columns, body) -> None:
     """Raise the FormatError of the first ragged row or non-numeric cell, in file order."""
-    for r, row in enumerate(body, start=2):
+    for r, row in zip(_record_lines(text)[1:], body):
         if len(row) != len(header):
             raise FormatError(f"{path}: line {r} has {len(row)} cells, expected {len(header)}")
         for j in columns:

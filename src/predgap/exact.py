@@ -34,14 +34,16 @@ distribution object (``PerturbationSpec.same`` gives them all one), and one
 call per perturbed feature otherwise; memory is one block.
 
 ``leaf_pair_probabilities`` builds the whole of P instead, filling the
-(A, A) block of all alive leaves in place from the same factors, a strip of
-rows at a time: 5 |S| A^2 elementwise operations (outer min, outer max,
-subtract, clamp at 0, multiply in), and beside P only two scratch strips of
-about ``_STRIP`` entries.  When every leaf is alive the block is P itself;
-otherwise it is scattered into a zero (L, L) array.  Its ``LeafPairTable``
-holds that array and the leaves' (tree, node) keys; the iterable
-``pair_prob`` view and the per-tree sums read the array, so the table costs
-L^2 floats and no Python object per pair.
+(A, A) block of all alive leaves from the same factors, a strip of n rows at
+a time.  The block is symmetric, so each strip computes only its columns
+from its first row on and mirrors the part right of its n x n square into
+the rows below: about 5 |S| (A^2 + A n) / 2 elementwise operations (outer
+min, outer max, subtract, clamp at 0, multiply in), and beside P only three
+scratch strips of about ``_STRIP`` entries.  When every leaf is alive the
+block is P itself; otherwise it is scattered into a zero (L, L) array.  Its
+``LeafPairTable`` holds that array and the leaves' (tree, node) keys; the
+iterable ``pair_prob`` view and the per-tree sums read the array, so the
+table costs L^2 floats and no Python object per pair.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ from .errors import NumericDomainError, ValidationError
 from .model import TreeEnsemble, _as_index, _lock, as_feature_vector
 from .perturb import Discrete, PerturbationSpec
 
-# Entries per row strip of the leaf-pair table's fill: a strip is 256 KiB, so
-# the three a feature touches stay in a typical L2 cache.
+# Entries per scratch strip of the leaf-pair table's fill: n = _STRIP // A
+# rows of A columns, 256 KiB, so the three scratch strips a feature touches
+# stay in a typical L2 cache.
 _STRIP = 1 << 15
 
 # The most offset combinations ``pg2_brute_force`` enumerates.
@@ -197,32 +200,42 @@ def _cross(blocks):
     return total
 
 
-def _fill_joint(out, F_lo, F_hi):
-    """Write ``_joint(F_lo, F_hi, F_lo, F_hi)`` into the (A, A) array ``out``
-    with the same operations in the same feature order, one strip of rows at
-    a time: a strip's first factor goes straight into ``out``, each later one
-    into a reused scratch strip that is multiplied in.  A strip of about
-    ``_STRIP`` entries keeps its factors in cache between features.  No
-    features gives 1.0 everywhere."""
-    if not len(F_lo):
+def _fill_strip(out, lo_a, hi_a, lo_b, hi_b, low, factor):
+    """Write ``_joint(lo_a, hi_a, lo_b, hi_b)`` into the contiguous (n, m)
+    array ``out`` with the same operations in the same feature order: the
+    first factor goes straight into ``out``, each later one into ``factor``
+    and is multiplied in; ``low`` holds each outer max.  ``low`` and
+    ``factor`` are (n, m) scratch.  No features gives 1.0 everywhere."""
+    if not len(lo_a):
         out.fill(1.0)
         return
+    for k, (la, ha, lb, hb) in enumerate(zip(lo_a, hi_a, lo_b, hi_b)):
+        f = factor if k else out
+        np.minimum.outer(ha, hb, out=f)
+        np.maximum.outer(la, lb, out=low)
+        f -= low
+        np.maximum(f, 0.0, out=f)
+        if k:
+            out *= f
+
+
+def _fill_joint(out, F_lo, F_hi):
+    """Write ``_joint(F_lo, F_hi, F_lo, F_hi)`` into the (A, A) array ``out``,
+    a strip of n rows at a time, from its upper triangle: strip [a, a + n)
+    fills only the columns [a, A) with ``_fill_strip`` into a reused
+    contiguous scratch strip of about ``_STRIP`` entries, which is copied
+    into ``out[a:a + n, a:]`` and, right of its n x n square, mirrored into
+    the rows below.  min and max commute, so the mirror holds the values the
+    lower triangle would get, and ``out`` is exactly symmetric."""
     size = out.shape[0]
-    rows = max(1, _STRIP // size)
-    lower = np.empty((min(rows, size), size))
-    scratch = np.empty_like(lower)
+    rows = min(max(1, _STRIP // size), size)
+    buffers = [np.empty(rows * size) for _ in range(3)]
     for a in range(0, size, rows):
-        strip = out[a:a + rows]
-        n = strip.shape[0]
-        low = lower[:n]
-        for k, (lo, hi) in enumerate(zip(F_lo, F_hi)):
-            factor = scratch[:n] if k else strip
-            np.minimum.outer(hi[a:a + n], hi, out=factor)
-            np.maximum.outer(lo[a:a + n], lo, out=low)
-            factor -= low
-            np.maximum(factor, 0.0, out=factor)
-            if k:
-                strip *= factor
+        n, m = min(rows, size - a), size - a
+        block, low, factor = (buf[:n * m].reshape(n, m) for buf in buffers)
+        _fill_strip(block, F_lo[:, a:a + n], F_hi[:, a:a + n], F_lo[:, a:], F_hi[:, a:], low, factor)
+        out[a:a + n, a:] = block
+        out[a + n:, a:a + n] = block[:, n:].T
 
 
 def leaf_pair_probabilities(
@@ -233,11 +246,12 @@ def leaf_pair_probabilities(
 ) -> LeafPairTable:
     """Compute Pr[leaf active] and Pr[both leaves active] for all leaf pairs.
 
-    The (A, A) block of the A alive leaves is filled in place, 5 |S| A^2
-    elementwise operations; when every leaf is alive it is ``P`` itself,
-    otherwise it is scattered into a zero (L, L) array.  Building takes
-    ``P``, the block when it is not ``P``, and two scratch strips of about
-    ``_STRIP`` entries.
+    The (A, A) block of the A alive leaves is filled from its upper
+    triangle, a strip of n rows at a time, and mirrored: about
+    5 |S| (A^2 + A n) / 2 elementwise operations.  When every leaf is alive
+    the block is ``P`` itself, otherwise it is scattered into a zero (L, L)
+    array.  Building takes ``P``, the block when it is not ``P``, and three
+    scratch strips of about ``_STRIP`` entries.
     """
     vec, feats, dists = _check_query(ensemble, x, features, spec)
     boxes = ensemble.leaf_boxes

@@ -107,15 +107,40 @@ def test_load_csv_equals_the_per_cell_float_oracle(tmp_path):
         ("a,b\n1,2\n1\n1,x\n", "line 3 has 1 cells, expected 2"),
         ("a,b\n1,2,3\n1,x\n", "line 2 has 3 cells, expected 2"),
         ("a,b\n1,2\n 2 ,\n", "line 3, column 'b': non-numeric cell ''"),
+        # Errors name the file line a record starts on: blank lines are not
+        # records, and a quoted cell may span lines.
+        ("a,b\n1,2\n\n3,x\n", "line 4, column 'b': non-numeric cell 'x'"),
+        ("a,b\n\n1,2\n\n3\n", "line 5 has 1 cells, expected 2"),
+        ('a,b\n"1\n",2\nx,3\n', "line 4, column 'a': non-numeric cell 'x'"),
+        ('a,b\n1,2\nx,"3\n"\n', "line 3, column 'a': non-numeric cell 'x'"),
     ],
     ids=["bad-cell-before-ragged-row", "ragged-row-before-bad-cell", "long-row-first",
-         "empty-cell"],
+         "empty-cell", "bad-cell-after-blank-line", "ragged-row-after-blank-lines",
+         "bad-cell-after-two-line-cell", "bad-cell-starting-a-two-line-record"],
 )
 def test_load_csv_raises_the_first_error_in_file_order(tmp_path, text, message):
     path = _write(tmp_path, text)
     with pytest.raises(FormatError) as info:
         pg.load_csv(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a,b\n1,2\n3,4\n\n", "a,b\n1,2\n\n3,4\n", "\na,b\n1,2\n\n\n3,4\n\n"],
+    ids=["trailing-blank-line", "blank-line-between-rows", "blank-lines-everywhere"],
+)
+def test_load_csv_skips_blank_lines(tmp_path, text):
+    data, _ = pg.load_csv(_write(tmp_path, text))
+    assert data.feature_names == ("a", "b")
+    assert data.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_load_csv_non_finite_label_names_the_file_line(tmp_path):
+    path = _write(tmp_path, 'a,y\n"1\n",2\n\n3,nan\n')
+    with pytest.raises(ValidationError) as info:
+        pg.load_csv(path, label_column="y")
+    assert str(info.value) == f"{path}: line 5, column 'y': non-finite label"
 
 
 def test_sample_pairs_size_cycle():
