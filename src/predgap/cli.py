@@ -15,10 +15,8 @@ import os
 import shutil
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -308,6 +306,10 @@ def run_benchmark(
     workers = min(workers, pairs)
     executor = None
     if workers > 1:
+        # Imported here, so a process that starts no pool never loads them.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         try:
             mp_context = get_context("fork")
         except ValueError:

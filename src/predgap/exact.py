@@ -23,15 +23,18 @@ where P_ij is the block of P between the alive leaves of trees i and j.
 
 bit for bit ``interval_prob`` on the intersected ends, since F(min(a, b)) =
 min(F(a), F(b)) and F(max(a, b)) = max(F(a), F(b)).  F is evaluated once
-per alive leaf end, and blocks are built one tree pair at a time from outer
-min/max of those values.  A tree is *live* when one of its alive leaves has
-y != 0; every block of any other tree adds exactly 0.0, so only pairs of
-live trees get one.  The work is 2 |S| A CDF evaluations for A alive leaves
-plus |S| * sum_{i<j} A_i A_j min/max/subtract over live trees i, j with A_i
-alive leaves.  The CDFs take one ``cdf_below`` array call, and the diagonal
-one ``interval_prob`` array call, when every perturbed feature has the same
-distribution object (``PerturbationSpec.same`` gives them all one), and one
-call per perturbed feature otherwise; memory is one block.
+per alive leaf end, and blocks are built one tree pair at a time: each
+factor broadcasts tree i's values as an (A_i, 1) column against tree j's
+(A_j,) row, is clamped at 0 in place, and the first becomes the block that
+each later one is multiplied into.  A tree is *live* when one of its alive
+leaves has y != 0; every block of any other tree adds exactly 0.0, so only
+pairs of live trees get one.  The work is 2 |S| A CDF evaluations for A
+alive leaves plus |S| * sum_{i<j} A_i A_j min/max/subtract/clamp/multiply
+over live trees i, j with A_i alive leaves.  The CDFs take one
+``cdf_below`` array call, and the diagonal one ``interval_prob`` array
+call, when every perturbed feature has the same distribution object
+(``PerturbationSpec.same`` gives them all one), and one call per perturbed
+feature otherwise; memory is the block and two (A_i, A_j) temporaries.
 
 ``leaf_pair_probabilities`` builds the whole of P instead, filling the
 (A, A) block of all alive leaves from the same factors, a strip of n rows at
@@ -183,11 +186,20 @@ def _mass(dists, lo, hi):
 
 def _joint(F_lo_a, F_hi_a, F_lo_b, F_hi_b):
     """Pair probabilities between two sets of alive leaves, shape (A_a, A_b),
-    from the leaves' ``cdf_below`` values; features multiply in order."""
-    p = 1.0
-    for la, ha, lb, hb in zip(F_lo_a, F_hi_a, F_lo_b, F_hi_b):
-        p = p * np.maximum(np.minimum.outer(ha, hb) - np.maximum.outer(la, lb), 0.0)
-    return p
+    from the leaves' ``cdf_below`` values; features multiply in order.  Each
+    factor broadcasts an (A_a, 1) column of the a side against the (A_b,)
+    b side and is built in place; the first becomes the product and each
+    later one is multiplied into it.  No features gives 1.0."""
+    p = None
+    for la, ha, lb, hb in zip(F_lo_a[..., None], F_hi_a[..., None], F_lo_b, F_hi_b):
+        f = np.minimum(ha, hb)
+        f -= np.maximum(la, lb)
+        np.maximum(f, 0.0, out=f)
+        if p is None:
+            p = f
+        else:
+            p *= f
+    return 1.0 if p is None else p
 
 
 def _cross(blocks):

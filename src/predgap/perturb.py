@@ -242,10 +242,18 @@ def spec_from_config(obj, num_features: int) -> PerturbationSpec:
 # ---------------------------------------------------------------------------
 
 def _first_primes(count: int) -> tuple[int, ...]:
+    """The first ``count`` primes by trial division, each candidate divided
+    only by the primes up to its square root."""
     primes: list[int] = []
     candidate = 2
     while len(primes) < count:
-        if all(candidate % p for p in primes):
+        for p in primes:
+            if p * p > candidate:
+                primes.append(candidate)
+                break
+            if not candidate % p:
+                break
+        else:
             primes.append(candidate)
         candidate += 1
     return tuple(primes)

@@ -267,7 +267,7 @@ def test_benchmark_excludes_all_zero_truth_batch(workdir, capsys):
 
 
 def test_benchmark_pool_has_at_most_one_worker_per_pair(workdir, monkeypatch):
-    import predgap.cli as cli_mod
+    import concurrent.futures
 
     sizes = []
 
@@ -284,7 +284,8 @@ def test_benchmark_pool_has_at_most_one_worker_per_pair(workdir, monkeypatch):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+    # run_benchmark imports the pool class only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     args = ["benchmark", *_model_arg(workdir), "--sigmas", "0.3", "--iteration-grid", "100",
             "--out", str(workdir / "report.json")]
     for pairs, workers in [(1, 64), (3, 2), (2, 5)]:
@@ -778,6 +779,9 @@ import sys
 import predgap.cli
 from predgap import normal
 
+# the process pool's modules load only when a benchmark starts a pool
+assert not {"multiprocessing", "concurrent.futures"} & set(sys.modules)
+
 def built():
     return normal._cdf_table.cache_info().currsize, normal._quantile_tables.cache_info().currsize
 
@@ -792,7 +796,8 @@ print(*built())
 @pytest.mark.parametrize("method, built", [("exact", "1 0"), ("qmc", "0 1")])
 def test_importing_builds_no_table_and_a_query_builds_its_own(workdir, method, built):
     # the normal CDF and quantile tables are built on first use, so a
-    # process pays only for the one its method evaluates
+    # process pays only for the one its method evaluates; importing the CLI
+    # loads no process-pool module either
     src = str(Path(pg.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run(

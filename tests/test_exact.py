@@ -353,12 +353,10 @@ def _noise(rng):
     return random_discrete(rng)
 
 
-def test_engine_equals_the_per_pair_formula_bit_for_bit():
-    # pg2_exact and leaf_pair_probabilities build each pair block from min/max
-    # of per-leaf cdf_below values; the per-pair formula evaluates
-    # interval_prob on the intersected boxes.  Both must agree with ==.
-    rng = np.random.default_rng(4242)
-    met = {"atom": False, "support end": False, "inf": False}
+def _formula_cases(rng):
+    """(ensemble, spec, x, S): 120 small random queries, then perfect depth-5
+    trees at d = 8 with |S| = 4 and 8, so tree-pair blocks are up to 32 x 32
+    and every leaf is alive at |S| = 8."""
     for n in range(120):
         d = int(rng.integers(1, 6))
         if n % 4 == 0:
@@ -370,6 +368,21 @@ def test_engine_equals_the_per_pair_formula_bit_for_bit():
         spec = pg.PerturbationSpec(per_feature=tuple(_noise(rng) for _ in range(d)))
         x = lattice_point(rng, d)
         S = sorted(int(q) for q in rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        yield ens, spec, x, S
+    for size in (4, 4, 8, 8):
+        ens = pg.TreeEnsemble(trees=tuple(perfect_tree(rng, 8, 5) for _ in range(6)), num_features=8)
+        spec = pg.PerturbationSpec(per_feature=tuple(_noise(rng) for _ in range(8)))
+        S = sorted(int(q) for q in rng.choice(8, size=size, replace=False))
+        yield ens, spec, lattice_point(rng, 8), S
+
+
+def test_engine_equals_the_per_pair_formula_bit_for_bit():
+    # pg2_exact and leaf_pair_probabilities build each pair block from min/max
+    # of per-leaf cdf_below values; the per-pair formula evaluates
+    # interval_prob on the intersected boxes.  Both must agree with ==.
+    rng = np.random.default_rng(4242)
+    met = {"atom": False, "support end": False, "inf": False}
+    for n, (ens, spec, x, S) in enumerate(_formula_cases(rng)):
         assert pg.pg2_exact(ens, x, S, spec) == pg2_pair_oracle(ens, x, S, spec), n
         table = pg.leaf_pair_probabilities(ens, x, S, spec)
         P = pair_table_oracle(ens, x, S, spec)

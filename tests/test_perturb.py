@@ -273,6 +273,9 @@ def test_halton_matrix_at_level_boundaries():
     # every base up to 37.
     n = 1620
     assert _PRIMES[255] == 1619
+    assert _PRIMES == tuple(
+        c for c in range(2, n) if all(c % k for k in range(2, math.isqrt(c) + 1))
+    )
     oracle = np.array([halton_point(i, 256) for i in range(1, n + 1)])
     counts = {n, 1618, 1619} | {
         c for b in (2, 3, 5) for k in range(1, 11) if b**k < n for c in (b**k - 1, b**k, b**k + 1)
