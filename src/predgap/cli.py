@@ -32,7 +32,7 @@ from .model import (
 )
 from .perturb import PerturbationSpec, spec_from_config
 from .ranking import Ranking, greedy_pg2_ranking, load_attributions, ranking_from_attribution
-from .sampling import EstimatorConfig, pg2_sampled, pg2_sampled_prefixes
+from .sampling import EstimatorConfig, pg2_sampled, pg2_sampled_gaussian_prefixes
 
 
 def format_value(value: float) -> str:
@@ -237,20 +237,21 @@ def _sampler_query(ensemble: TreeEnsemble, x: np.ndarray, S: tuple[int, ...]):
 
 
 def _bench_task(task):
-    """One pair's exact PG2 (``config`` None), its QMC estimate at every grid
-    count (``config`` "qmc"), or one seeded MC estimate."""
-    sigma_idx, pair_idx, config, rep = task
+    """One pair's exact PG2 at sigma ``arg`` (``config`` None), its QMC
+    estimates at every grid count for each of the sigmas ``arg`` from one
+    shared pass (``config`` "qmc"), or one seeded MC estimate at sigma ``arg``."""
+    pair_idx, arg, config, rep = task
     ctx = _BENCH
     pair = ctx["pairs"][pair_idx]
-    spec = ctx["specs"][sigma_idx]
+    model, point, features = ctx["queries"][pair_idx]
+    if config == "qmc":
+        return pg2_sampled_gaussian_prefixes(model, point, features, arg, ctx["grid"])
+    spec = ctx["specs"][arg]
     if config is None:
         x = ctx["dataset"].instance(pair.instance_index)
         return pg2_exact(ctx["ensemble"], x, pair.feature_set, spec)
-    model, point, features = ctx["queries"][pair_idx]
     spec = PerturbationSpec(per_feature=tuple(spec.distribution_for(q) for q in pair.feature_set))
-    if config == "qmc":
-        return pg2_sampled_prefixes(model, point, features, spec, ctx["grid"])
-    entropy = [ctx["seed"], sigma_idx, config.iterations, rep, pair_idx]
+    entropy = [ctx["seed"], arg, config.iterations, rep, pair_idx]
     seed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
     return pg2_sampled(model, point, features, spec, replace(config, seed=seed))
 
@@ -323,20 +324,20 @@ def run_benchmark(
     else:
         _init_bench_worker(payload)
 
-    def map_pairs(sigma_idx, config=None, rep=0) -> np.ndarray:
+    def map_pairs(arg, config=None, rep=0) -> np.ndarray:
         """One task result per pair, in pair order."""
-        tasks = [(sigma_idx, p, config, rep) for p in range(pairs)]
+        tasks = [(p, arg, config, rep) for p in range(pairs)]
         if executor is None:
             return np.asarray([_bench_task(t) for t in tasks])
         chunk = max(1, pairs // (4 * workers))
         return np.asarray(list(executor.map(_bench_task, tasks, chunksize=chunk)))
 
     try:
-        entries = []
+        truths, exact_times = {}, []
         for sigma_idx, sigma in enumerate(sigmas):
             started = time.perf_counter()
             truth = map_pairs(sigma_idx)
-            exact_elapsed = time.perf_counter() - started
+            exact_times.append(time.perf_counter() - started)
             if float(np.sum(np.abs(truth))) == 0.0:
                 print(
                     f"warning: every exact value is zero for sigma={sigma}; "
@@ -344,14 +345,18 @@ def run_benchmark(
                     file=sys.stderr,
                 )
                 continue
-            if "qmc" in methods:
-                # One pass at the largest count; column k holds grid count k.
-                started = time.perf_counter()
-                qmc = map_pairs(sigma_idx, "qmc").T
-                qmc_elapsed = time.perf_counter() - started
+            truths[sigma_idx] = truth
+        if "qmc" in methods and truths:
+            # One pass per pair at the largest count for every sigma left:
+            # qmc[:, i, k] holds that sigma's estimates at grid count k.
+            started = time.perf_counter()
+            qmc = map_pairs(tuple(sigmas[i] for i in truths), "qmc")
+            qmc_elapsed = time.perf_counter() - started
+        entries = []
+        for i, (sigma_idx, truth) in enumerate(truths.items()):
             for k, config in configs:
                 if config.method == "qmc":
-                    scores = [nmae(truth, qmc[k])]
+                    scores = [nmae(truth, qmc[:, i, k])]
                     sampler_elapsed = qmc_elapsed
                 else:
                     started = time.perf_counter()
@@ -363,12 +368,12 @@ def run_benchmark(
                 entry = {
                     "method": config.method,
                     "iterations": config.iterations,
-                    "sigma": sigma,
+                    "sigma": sigmas[sigma_idx],
                     "nmae": float(np.mean(scores)),
                     "pairs": pairs,
                 }
                 if timing:
-                    entry["wall_time_exact"] = exact_elapsed
+                    entry["wall_time_exact"] = exact_times[sigma_idx]
                     entry["wall_time_sampler"] = sampler_elapsed
                 entries.append(entry)
     finally:

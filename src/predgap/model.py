@@ -153,7 +153,8 @@ class Tree:
         offset = self.feature * n
         for level in range(2, self.max_depth + 1):
             offset.take(idx, None, pos, "wrap")
-            if self.shallowest_leaf < level and (pos < 0).all():
+            # max() raises on no rows, which sit on leaves vacuously.
+            if self.shallowest_leaf < level and (not n or pos.max() < 0):
                 break
             pos += rows
             flat.take(pos, None, value, "wrap")

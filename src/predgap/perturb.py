@@ -55,7 +55,9 @@ class Distribution:
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_n(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill the contiguous float row ``out`` with independent draws from
+        ``rng``, in place, and return it."""
         raise NotImplementedError
 
 
@@ -80,8 +82,12 @@ class Gaussian(Distribution):
         x *= self.sigma
         return x
 
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(0.0, self.sigma, size=n)
+    def sample_n(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        # rng.normal(0.0, sigma, n) computes 0.0 + sigma * z: the same values,
+        # up to the sign of an exact zero.
+        rng.standard_normal(out=out)
+        out *= self.sigma
+        return out
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,12 @@ class Uniform(Distribution):
     def inv_cdf_n(self, u: np.ndarray) -> np.ndarray:
         return (2.0 * u - 1.0) * self.half_width
 
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(-self.half_width, self.half_width, size=n)
+    def sample_n(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        # The values of rng.uniform(-w, w, n), which computes -w + 2w * u.
+        rng.random(out=out)
+        out *= 2.0 * self.half_width
+        out += -self.half_width
+        return out
 
 
 @dataclass(frozen=True)
@@ -156,8 +166,12 @@ class Discrete(Distribution):
         )
         return self._offsets[idx]
 
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._offsets[np.searchsorted(self._cum, rng.random(n), side="right").clip(max=len(self.points) - 1)]
+    def sample_n(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self._cum, rng.random(out=out), side="right")
+        np.minimum(idx, len(self.points) - 1, out=idx)
+        # Every index is in range; mode="clip" spares the copy of ``out``
+        # that the default mode="raise" makes.
+        return self._offsets.take(idx, out=out, mode="clip")
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def perturbed_inputs_oracle(vec, feats, spec, config) -> np.ndarray:
     if config.method == "mc":
         rng = np.random.default_rng(config.seed)
         for j, q in enumerate(feats):
-            X[:, j] += spec.distribution_for(q).sample_n(rng, n)
+            X[:, j] += spec.distribution_for(q).sample_n(rng, np.empty(n))
     else:
         U = pg.halton_matrix(n, len(feats))
         for j, q in enumerate(feats):
@@ -164,7 +164,7 @@ def full_width_squared_gaps(ensemble, x, features, spec, config) -> np.ndarray:
     if config.method == "mc":
         rng = np.random.default_rng(config.seed)
         for q in feats:
-            X[:, q] += spec.distribution_for(q).sample_n(rng, n)
+            X[:, q] += spec.distribution_for(q).sample_n(rng, np.empty(n))
     else:
         U = pg.halton_matrix(n, len(feats))
         for j, q in enumerate(feats):

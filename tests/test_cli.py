@@ -246,7 +246,7 @@ def test_benchmark_timing_fields(workdir):
     entries = json.loads(out.read_text())["entries"]
     assert entries[0]["wall_time_exact"] > 0.0
     assert entries[0]["wall_time_sampler"] > 0.0
-    # every QMC entry of one sigma carries the time of that sigma's one pass
+    # every QMC entry carries the time of the one pass that all sigmas share
     for sigma in (0.3, 1.0):
         qmc = [e for e in entries if e["method"] == "qmc" and e["sigma"] == sigma]
         assert [e["iterations"] for e in qmc] == [100, 300]
@@ -322,7 +322,7 @@ def test_benchmark_inline_calls_the_module_globals(monkeypatch):
     import predgap.cli as cli_mod
 
     calls = {}
-    for name in ("pg2_exact", "pg2_sampled", "pg2_sampled_prefixes", "nmae"):
+    for name in ("pg2_exact", "pg2_sampled", "pg2_sampled_gaussian_prefixes", "nmae"):
         def counted(*a, _real=getattr(cli_mod, name), _name=name, **kw):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*a, **kw)
@@ -330,11 +330,14 @@ def test_benchmark_inline_calls_the_module_globals(monkeypatch):
         monkeypatch.setattr(cli_mod, name, counted)
     ens = canonical_ensemble(num_features=2)
     data = pg.Dataset(values=[[-1.0, 0.5], [0.5, -0.3]], feature_names=("a", "b"))
-    run = dict(sigmas=[0.3], iteration_grid=[10], pairs=3, seed=1, workers=1)
+    run = dict(sigmas=[0.3, 1.0], iteration_grid=[10], pairs=3, seed=1, workers=1)
     report = cli_mod.run_benchmark(ens, data, **run)
-    assert [e["method"] for e in report["entries"]] == ["mc", "qmc"]
-    # MC makes one call per pair and count; QMC one per pair for every count
-    assert calls == {"pg2_exact": 3, "pg2_sampled": 3, "pg2_sampled_prefixes": 3, "nmae": 2}
+    assert [e["method"] for e in report["entries"]] == ["mc", "qmc"] * 2
+    # MC makes one call per sigma, pair and count; QMC one per pair for every
+    # sigma and count
+    assert calls == {
+        "pg2_exact": 6, "pg2_sampled": 6, "pg2_sampled_gaussian_prefixes": 3, "nmae": 4,
+    }
     assert cli_mod._BENCH is None
     # a bad sampler configuration raises before any exact value is computed
     with pytest.raises(pg.ValidationError):
@@ -345,7 +348,7 @@ def test_benchmark_inline_calls_the_module_globals(monkeypatch):
                 {"methods": ()}, {"workers": 0}, {"workers": -2}):
         with pytest.raises(pg.ValidationError):
             cli_mod.run_benchmark(ens, data, **{**run, **bad})
-    assert calls["pg2_exact"] == 3
+    assert calls["pg2_exact"] == 6
     assert cli_mod._BENCH is None
 
 
@@ -400,6 +403,29 @@ def test_benchmark_report_equals_the_per_size_oracle():
     for workers, repetitions in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         report = cli_mod.run_benchmark(ens, data, workers=workers, repetitions=repetitions, **run)
         assert report == benchmark_report_oracle(ens, data, repetitions=repetitions, **run)
+
+
+def test_benchmark_shares_each_pairs_qmc_pass_among_the_sigmas_kept(monkeypatch, capsys):
+    # at sigma = 1e-300 no draw leaves x's leaves, so every exact value is 0
+    # and that sigma is skipped; each pair's one QMC pass covers the others
+    import predgap.cli as cli_mod
+
+    passes = []
+    real = cli_mod.pg2_sampled_gaussian_prefixes
+
+    def recorded(model, x, features, sigmas, counts):
+        passes.append(sigmas)
+        return real(model, x, features, sigmas, counts)
+
+    monkeypatch.setattr(cli_mod, "pg2_sampled_gaussian_prefixes", recorded)
+    rng = np.random.default_rng(15)
+    ens = random_ensemble(rng, num_features=3, num_trees=4, max_depth=3)
+    data = pg.Dataset(values=rng.normal(size=(6, 3)).tolist(), feature_names=("a", "b", "c"))
+    run = dict(sigmas=[0.3, 1e-300, 1.0], iteration_grid=[50, 9], pairs=4, seed=6)
+    report = cli_mod.run_benchmark(ens, data, workers=1, **run)
+    assert passes == [(0.3, 1.0)] * 4
+    assert "sigma=1e-300" in capsys.readouterr().err
+    assert report == benchmark_report_oracle(ens, data, **run)
 
 
 def test_benchmark_builds_one_conditioned_ensemble_per_pair(monkeypatch):

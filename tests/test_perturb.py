@@ -13,7 +13,7 @@ import predgap as pg
 from predgap.errors import ValidationError
 from predgap.perturb import _PRIMES
 
-from support import PHI_1, halton_point
+from support import PHI_1, canonical_ensemble, halton_point
 
 
 def test_gaussian_cdf_symmetry_and_limits():
@@ -163,14 +163,14 @@ def test_uniform_cdf_is_the_unclamped_formula_without_its_warning(half_width):
 def test_sampling_degenerate_discrete():
     d = pg.Discrete(points=((0.0, 1.0),))
     rng = np.random.default_rng(0)
-    assert d.sample_n(rng, 1).tolist() == [0.0]
-    assert (d.sample_n(rng, 100) == 0.0).all()
+    assert d.sample_n(rng, np.empty(1)).tolist() == [0.0]
+    assert (d.sample_n(rng, np.empty(100)) == 0.0).all()
 
 
 def test_gaussian_sampling_moments():
     g = pg.Gaussian(1.0)
     rng = np.random.default_rng(123)
-    draws = g.sample_n(rng, 1_000_000)
+    draws = g.sample_n(rng, np.empty(1_000_000))
     assert abs(draws.mean()) < 0.01
     assert abs(draws.var() - 1.0) < 0.02
 
@@ -178,15 +178,47 @@ def test_gaussian_sampling_moments():
 def test_uniform_support():
     u = pg.Uniform(1.0)
     rng = np.random.default_rng(5)
-    draws = u.sample_n(rng, 10_000)
+    draws = u.sample_n(rng, np.empty(10_000))
     assert draws.min() >= -1.0 and draws.max() <= 1.0
 
 
 def test_sampling_deterministic_given_seed():
     g = pg.Gaussian(0.5)
-    a = g.sample_n(np.random.default_rng(42), 100)
-    b = g.sample_n(np.random.default_rng(42), 100)
+    a = g.sample_n(np.random.default_rng(42), np.empty(100))
+    b = g.sample_n(np.random.default_rng(42), np.empty(100))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 0.3, 1e300])
+def test_sampling_fills_the_numpy_streams_in_place(scale):
+    # each sample_n writes into the row it is given and returns it, with the
+    # bits of numpy's one-call samplers and of the searchsorted formula over
+    # rng.random (an exact zero draw could differ in sign; these seeds draw none)
+    n = 1001
+    discrete = pg.Discrete(points=((-scale, 0.25), (0.0, 0.5), (2.0 * scale, 0.25)))
+    for seed in range(4):
+        def rng():
+            return np.random.default_rng(seed)
+
+        u = rng().random(n)
+        expected = {
+            pg.Gaussian(scale): rng().normal(0.0, scale, n),
+            pg.Uniform(scale): rng().uniform(-scale, scale, n),
+            discrete: discrete._offsets[np.searchsorted(discrete._cum, u, "right").clip(max=2)],
+        }
+        for dist, values in expected.items():
+            row = np.empty((2, n))[1]
+            assert dist.sample_n(rng(), row) is row
+            assert row.tobytes() == values.tobytes()
+
+
+def test_mc_noise_beyond_the_float_range_names_its_feature():
+    # sigma * z overflows in place for |z| > 1.8; the sampler raises no warning
+    spec = pg.PerturbationSpec(per_feature=(pg.Gaussian(0.3), pg.Gaussian(1e308)))
+    ens = canonical_ensemble(num_features=2)
+    for seed in range(3):
+        with pytest.raises(pg.NumericDomainError, match="perturbed feature 1 "):
+            pg.pg2_sampled(ens, [0.0, 0.0], [0, 1], spec, pg.EstimatorConfig("mc", 500, seed))
 
 
 # ---------------------------------------------------------------------------

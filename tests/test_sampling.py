@@ -5,7 +5,7 @@ import pytest
 
 import predgap as pg
 from predgap.errors import ValidationError
-from predgap.sampling import _draws
+from predgap.sampling import _draws, pg2_sampled_gaussian_prefixes
 
 from support import (
     CANONICAL_PG2,
@@ -228,6 +228,29 @@ def test_prefixes_equal_one_qmc_call_per_count():
                     for n in counts
                 ]
     assert pg.pg2_sampled_prefixes(ens, x, [], spec, [5, 2]) == [0.0, 0.0]
+
+
+def test_gaussian_prefixes_equal_one_prefix_pass_per_sigma():
+    # one unit-Gaussian Halton pass, scaled by each sigma, gives each sigma's
+    # own pg2_sampled_prefixes bit for bit
+    rng = np.random.default_rng(41)
+    d = 4
+    ens = random_ensemble(rng, num_features=d, num_trees=5, max_depth=4)
+    counts = [100, 7, 2000, 1]
+    for sigmas in ([0.3], [0.3, 1.0], [0.1, 0.3, 1.0]):
+        for features in ([], [2], [3, 0, 1]):
+            x = lattice_point(rng, d)
+            assert pg2_sampled_gaussian_prefixes(ens, x, features, sigmas, counts) == [
+                pg.pg2_sampled_prefixes(ens, x, features, pg.PerturbationSpec.gaussian(s, d), counts)
+                for s in sigmas
+            ]
+    # noise beyond the float range names its feature; a bad sigma or count
+    # raises as the per-sigma call would
+    with pytest.raises(pg.NumericDomainError, match="perturbed feature 2 "):
+        pg2_sampled_gaussian_prefixes(ens, x, [2], [0.3, 1e308], counts)
+    for sigmas, bad in (([0.3, -1.0], counts), ([0.3], []), ([0.3], [10, 0])):
+        with pytest.raises(ValidationError):
+            pg2_sampled_gaussian_prefixes(ens, x, [2], sigmas, bad)
 
 
 def test_prefixes_validate_counts():
