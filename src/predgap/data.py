@@ -63,8 +63,10 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
     Python's ``float``.  A line with no cells is not a record, wherever it
     stands.  The rows are converted in one pass and the matrix is built
     once; a ragged row or a non-numeric cell makes a second, row-by-row scan
-    raise the ``FormatError`` of the first one in file order.  Errors name
-    the file line the record starts on.
+    raise the ``FormatError`` of the first one in file order, and a
+    non-finite feature or label cell (``nan``, ``inf``, or a value such as
+    ``1e400`` past the float range) raises the ``ValidationError`` of the
+    first one.  Errors name the file line the record starts on.
     """
     text = read_text(path, "data")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -96,18 +98,13 @@ def load_csv(path, label_column: str | None = None, exclude: list[str] | None = 
     except ValueError:
         _raise_first_bad_row(path, text, header, columns, body)
     table = table.reshape(len(body), len(columns))
-    matrix = table[:, : len(feature_cols)]
-    labels = None
-    if label_idx is not None:
-        labels = table[:, -1]
-        bad = np.flatnonzero(~np.isfinite(labels))
-        if bad.size:
-            raise ValidationError(
-                f"{path}: line {_record_lines(text)[bad[0] + 1]}, column {label_column!r}: "
-                "non-finite label"
-            )
-    dataset = Dataset(values=matrix, feature_names=tuple(header[j] for j in feature_cols))
-    return dataset, labels
+    finite = np.isfinite(table)
+    if not finite.all():
+        _raise_first_non_finite(path, text, header, columns, label_idx, ~finite)
+    dataset = Dataset(
+        values=table[:, : len(feature_cols)], feature_names=tuple(header[j] for j in feature_cols)
+    )
+    return dataset, None if label_idx is None else table[:, -1]
 
 
 def _record_lines(text) -> list[int]:
@@ -120,6 +117,18 @@ def _record_lines(text) -> list[int]:
             starts.append(end + 1)
         end = reader.line_num
     return starts
+
+
+def _raise_first_non_finite(path, text, header, columns, label_idx, bad) -> None:
+    """Raise the ValidationError of the first non-finite cell in file order,
+    ``bad`` marking the non-finite cells of the table read from ``columns``:
+    the first such row, then its leftmost header position, since the label
+    column may stand before the features."""
+    row = np.flatnonzero(bad.any(axis=1))[0]
+    j = min(col for col, b in zip(columns, bad[row]) if b)
+    what = "non-finite label" if j == label_idx else "non-finite value"
+    line = _record_lines(text)[row + 1]
+    raise ValidationError(f"{path}: line {line}, column {header[j]!r}: {what}")
 
 
 def _raise_first_bad_row(path, text, header, columns, body) -> None:

@@ -37,16 +37,17 @@ call, when every perturbed feature has the same distribution object
 feature otherwise; memory is the block and two (A_i, A_j) temporaries.
 
 ``leaf_pair_probabilities`` builds the whole of P instead, filling the
-(A, A) block of all alive leaves from the same factors, a strip of n rows at
-a time.  The block is symmetric, so each strip computes only its columns
-from its first row on and mirrors the part right of its n x n square into
-the rows below: about 5 |S| (A^2 + A n) / 2 elementwise operations (outer
-min, outer max, subtract, clamp at 0, multiply in), and beside P only three
-scratch strips of about ``_STRIP`` entries.  When every leaf is alive the
-block is P itself; otherwise it is scattered into a zero (L, L) array.  Its
-``LeafPairTable`` holds that array and the leaves' (tree, node) keys; the
-iterable ``pair_prob`` view and the per-tree sums read the array, so the
-table costs L^2 floats and no Python object per pair.
+(A, A) block of all alive leaves with the same ``_joint``, a strip of n rows
+at a time.  The block is symmetric, so each strip is the ``_joint`` block of
+its rows against the columns from its first row on, and the part right of
+its n x n square is mirrored into the rows below: about
+5 |S| (A^2 + A n) / 2 elementwise operations (min, max, subtract, clamp at
+0, multiply in), and beside the block only a strip's ``_joint`` block and
+its two temporaries of at most ``_STRIP`` entries each.  When every leaf is
+alive the block is P itself; otherwise it is scattered into a zero (L, L)
+array.  Its ``LeafPairTable`` holds that array and the leaves' (tree, node)
+keys; the iterable ``pair_prob`` view and the per-tree sums read the array,
+so the table costs L^2 floats and no Python object per pair.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ from .errors import NumericDomainError, ValidationError
 from .model import TreeEnsemble, _as_index, _lock, as_feature_vector
 from .perturb import Discrete, PerturbationSpec
 
-# Entries per scratch strip of the leaf-pair table's fill: n = _STRIP // A
-# rows of A columns, 256 KiB, so the three scratch strips a feature touches
-# stay in a typical L2 cache.
+# Most entries per strip of the leaf-pair table's fill: n = _STRIP // A rows
+# of at most A columns, 256 KiB, so each strip's ``_joint`` block and its two
+# temporaries stay in a typical L2 cache.  Wider strips are slower: fresh
+# temporaries that outgrow the cache fault their pages in again.
 _STRIP = 1 << 15
 
 # The most offset combinations ``pg2_brute_force`` enumerates.
@@ -189,7 +191,8 @@ def _joint(F_lo_a, F_hi_a, F_lo_b, F_hi_b):
     from the leaves' ``cdf_below`` values; features multiply in order.  Each
     factor broadcasts an (A_a, 1) column of the a side against the (A_b,)
     b side and is built in place; the first becomes the product and each
-    later one is multiplied into it.  No features gives 1.0."""
+    later one is multiplied into it.  No features gives an (A_a, A_b) array
+    of ones."""
     p = None
     for la, ha, lb, hb in zip(F_lo_a[..., None], F_hi_a[..., None], F_lo_b, F_hi_b):
         f = np.minimum(ha, hb)
@@ -199,7 +202,7 @@ def _joint(F_lo_a, F_hi_a, F_lo_b, F_hi_b):
             p = f
         else:
             p *= f
-    return 1.0 if p is None else p
+    return np.ones((F_lo_a.shape[1], F_lo_b.shape[1])) if p is None else p
 
 
 def _cross(blocks):
@@ -212,42 +215,22 @@ def _cross(blocks):
     return total
 
 
-def _fill_strip(out, lo_a, hi_a, lo_b, hi_b, low, factor):
-    """Write ``_joint(lo_a, hi_a, lo_b, hi_b)`` into the contiguous (n, m)
-    array ``out`` with the same operations in the same feature order: the
-    first factor goes straight into ``out``, each later one into ``factor``
-    and is multiplied in; ``low`` holds each outer max.  ``low`` and
-    ``factor`` are (n, m) scratch.  No features gives 1.0 everywhere."""
-    if not len(lo_a):
-        out.fill(1.0)
-        return
-    for k, (la, ha, lb, hb) in enumerate(zip(lo_a, hi_a, lo_b, hi_b)):
-        f = factor if k else out
-        np.minimum.outer(ha, hb, out=f)
-        np.maximum.outer(la, lb, out=low)
-        f -= low
-        np.maximum(f, 0.0, out=f)
-        if k:
-            out *= f
-
-
-def _fill_joint(out, F_lo, F_hi):
-    """Write ``_joint(F_lo, F_hi, F_lo, F_hi)`` into the (A, A) array ``out``,
-    a strip of n rows at a time, from its upper triangle: strip [a, a + n)
-    fills only the columns [a, A) with ``_fill_strip`` into a reused
-    contiguous scratch strip of about ``_STRIP`` entries, which is copied
-    into ``out[a:a + n, a:]`` and, right of its n x n square, mirrored into
-    the rows below.  min and max commute, so the mirror holds the values the
-    lower triangle would get, and ``out`` is exactly symmetric."""
-    size = out.shape[0]
+def _fill_joint(F_lo, F_hi):
+    """``_joint(F_lo, F_hi, F_lo, F_hi)`` as a new (A, A) array, built from
+    its upper triangle a strip of n rows at a time: strip [a, a + n) is the
+    ``_joint`` block of its rows against the columns [a, A), copied into
+    ``out[a:a + n, a:]`` and, right of its n x n square, mirrored into the
+    rows below.  min and max commute, so the mirror holds the values the
+    lower triangle would get, and the array is exactly symmetric."""
+    size = F_lo.shape[1]
+    out = np.empty((size, size))
     rows = min(max(1, _STRIP // size), size)
-    buffers = [np.empty(rows * size) for _ in range(3)]
     for a in range(0, size, rows):
-        n, m = min(rows, size - a), size - a
-        block, low, factor = (buf[:n * m].reshape(n, m) for buf in buffers)
-        _fill_strip(block, F_lo[:, a:a + n], F_hi[:, a:a + n], F_lo[:, a:], F_hi[:, a:], low, factor)
-        out[a:a + n, a:] = block
-        out[a + n:, a:a + n] = block[:, n:].T
+        n = min(rows, size - a)
+        strip = _joint(F_lo[:, a:a + n], F_hi[:, a:a + n], F_lo[:, a:], F_hi[:, a:])
+        out[a:a + n, a:] = strip
+        out[a + n:, a:a + n] = strip[:, n:].T
+    return out
 
 
 def leaf_pair_probabilities(
@@ -259,22 +242,19 @@ def leaf_pair_probabilities(
     """Compute Pr[leaf active] and Pr[both leaves active] for all leaf pairs.
 
     The (A, A) block of the A alive leaves is filled from its upper
-    triangle, a strip of n rows at a time, and mirrored: about
+    triangle, one ``_joint`` strip of n rows at a time, and mirrored: about
     5 |S| (A^2 + A n) / 2 elementwise operations.  When every leaf is alive
     the block is ``P`` itself, otherwise it is scattered into a zero (L, L)
-    array.  Building takes ``P``, the block when it is not ``P``, and three
-    scratch strips of about ``_STRIP`` entries.
+    array.  Building takes ``P``, the block when it is not ``P``, and a
+    strip's ``_joint`` block and two temporaries of at most ``_STRIP``
+    entries each.
     """
     vec, feats, dists = _check_query(ensemble, x, features, spec)
     boxes = ensemble.leaf_boxes
     _, alive, _, _, F_lo, F_hi = _alive(boxes, vec, feats, dists)
     size = boxes.value.size
-    if alive.size == size:
-        P = np.empty((size, size))
-        _fill_joint(P, F_lo, F_hi)
-    else:
-        block = np.empty((alive.size, alive.size))
-        _fill_joint(block, F_lo, F_hi)
+    P = block = _fill_joint(F_lo, F_hi)
+    if alive.size < size:
         P = np.zeros((size, size))
         P[np.ix_(alive, alive)] = block
     return LeafPairTable(P=P, tree=boxes.tree, node=boxes.node, num_trees=len(ensemble.trees))

@@ -143,6 +143,26 @@ def test_load_csv_non_finite_label_names_the_file_line(tmp_path):
     assert str(info.value) == f"{path}: line 5, column 'y': non-finite label"
 
 
+@pytest.mark.parametrize(
+    "text, label, message",
+    [
+        ("a,b\n1,2\n3,nan\n", None, "line 3, column 'b': non-finite value"),
+        # 1e400 is past the float range, so float() reads it as inf.
+        ('a,b\n"1\n",2\n1e400,3\n', None, "line 4, column 'a': non-finite value"),
+        # The label stands first: it is the first non-finite cell of the row.
+        ("y,a,b\n1,2,3\ninf,4,-inf\n", "y", "line 3, column 'y': non-finite label"),
+        ("y,a,b\n1,2,3\n4,5,-inf\nnan,6,7\n", "y", "line 3, column 'b': non-finite value"),
+    ],
+    ids=["nan-feature", "1e400-after-two-line-cell", "label-before-feature",
+         "feature-row-before-label-row"],
+)
+def test_load_csv_non_finite_feature_names_the_file_line(tmp_path, text, label, message):
+    path = _write(tmp_path, text)
+    with pytest.raises(ValidationError) as info:
+        pg.load_csv(path, label_column=label)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_sample_pairs_size_cycle():
     data = pg.Dataset(values=np.zeros((5, 3)), feature_names=("a", "b", "c"))
     pairs = pg.sample_pairs(data, 3, seed=0)

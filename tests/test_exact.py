@@ -91,7 +91,7 @@ def test_table_memory_is_a_few_dense_matrices():
     assert L == 512
     spec = pg.PerturbationSpec.gaussian(0.3, d)
     x = rng.normal(size=d)
-    for S, bound in (((0, 2, 5, 7), 6.0), (tuple(range(d)), 2.0)):
+    for S, bound in (((0, 2, 5, 7), 2.0), (tuple(range(d)), 2.0)):
         tracemalloc.start()
         try:
             table = pg.leaf_pair_probabilities(ens, x, S, spec)
@@ -141,26 +141,6 @@ def test_table_fill_equals_the_single_block_reference(monkeypatch, strip):
         np.fill_diagonal(same_tree, False)
         assert (P[same_tree] == 0.0).all(), name
         assert np.count_nonzero(np.diagonal(P)) >= len(ens.trees), name
-
-
-def test_strip_kernel_equals_joint_on_rectangles():
-    # _fill_strip writes _joint's block bit for bit on any (n, m) rectangle,
-    # including a single row or column and no perturbed feature.
-    cases = {name: (ens, x, S, spec) for name, ens, x, S, spec in _table_cases()}
-    for name in ("sweep-0", "sweep-4", "mixed"):
-        ens, x, S, spec = cases[name]
-        vec, feats, dists = exact._check_query(ens, x, S, spec)
-        _, alive, _, _, F_lo, F_hi = exact._alive(ens.leaf_boxes, vec, feats, dists)
-        A = alive.size
-        for rows, cols in ((slice(0, 5), slice(3, A)), (slice(7, 8), slice(0, A)),
-                           (slice(0, A), slice(A - 1, A)), (slice(2, 9), slice(9, 10)),
-                           (slice(A - 3, A), slice(0, A - 1))):
-            want = exact._joint(F_lo[:, rows], F_hi[:, rows], F_lo[:, cols], F_hi[:, cols])
-            shape = (len(range(A)[rows]), len(range(A)[cols]))
-            out, low, factor = (np.full(shape, np.nan) for _ in range(3))
-            exact._fill_strip(out, F_lo[:, rows], F_hi[:, rows], F_lo[:, cols], F_hi[:, cols],
-                              low, factor)
-            assert np.array_equal(out, np.broadcast_to(want, shape)), (name, rows, cols)
 
 
 def test_pg2_exact_canonical_value():
