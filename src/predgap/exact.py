@@ -23,31 +23,41 @@ where P_ij is the block of P between the alive leaves of trees i and j.
 
 bit for bit ``interval_prob`` on the intersected ends, since F(min(a, b)) =
 min(F(a), F(b)) and F(max(a, b)) = max(F(a), F(b)).  F is evaluated once
-per alive leaf end, and blocks are built one tree pair at a time: each
-factor broadcasts tree i's values as an (A_i, 1) column against tree j's
-(A_j,) row, is clamped at 0 in place, and the first becomes the block that
-each later one is multiplied into.  A tree is *live* when one of its alive
-leaves has y != 0; every block of any other tree adds exactly 0.0, so only
-pairs of live trees get one.  The work is 2 |S| A CDF evaluations for A
-alive leaves plus |S| * sum_{i<j} A_i A_j min/max/subtract/clamp/multiply
-over live trees i, j with A_i alive leaves.  The CDFs take one
-``cdf_below`` array call, and the diagonal one ``interval_prob`` array
-call, when every perturbed feature has the same distribution object
-(``PerturbationSpec.same`` gives them all one), and one call per perturbed
-feature otherwise; memory is the block and two (A_i, A_j) temporaries.
+per alive leaf end.
 
-``leaf_pair_probabilities`` builds the whole of P instead, filling the
-(A, A) block of all alive leaves with the same ``_joint``, a strip of n rows
-at a time.  The block is symmetric, so each strip is the ``_joint`` block of
-its rows against the columns from its first row on, and the part right of
-its n x n square is mirrored into the rows below: about
-5 |S| (A^2 + A n) / 2 elementwise operations (min, max, subtract, clamp at
-0, multiply in), and beside the block only a strip's ``_joint`` block and
-its two temporaries of at most ``_STRIP`` entries each.  When every leaf is
-alive the block is P itself; otherwise it is scattered into a zero (L, L)
-array.  Its ``LeafPairTable`` holds that array and the leaves' (tree, node)
-keys; the iterable ``pair_prob`` view and the per-tree sums read the array,
-so the table costs L^2 floats and no Python object per pair.
+Only *contributing* leaves enter the pair sums: alive leaves with y != 0
+and a positive probability P[u, u] of their own.  Every other term is an
+exact 0.0.  y = 0 multiplies a leaf's row by 0, and each factor of a pair
+is at most the leaf's own factor (rounding is monotone), so P[u, u] == 0
+makes the whole row exactly 0.  The noise reaches a leaf with probability
+0 when its box is empty on a perturbed feature (lo >= hi), lies beyond the
+Gaussian CDF's clamp at 6 sigma sqrt(2), or misses a Uniform or Discrete
+support; the leaf x reaches has y = 0.  The contributing leaves run tree by
+tree, and blocks are built one tree pair at a time: each factor broadcasts
+tree i's values as a (K_i, 1) column against tree j's (K_j,) row, is
+clamped at 0 in place, and the first becomes the block that each later one
+is multiplied into.  The work is 2 |S| A CDF evaluations for A alive leaves
+plus |S| * sum_{i<j} K_i K_j min/max/subtract/clamp/multiply, with K_i
+contributing leaves in tree i; a tree with none gets no block.  The CDFs
+take one ``cdf_below`` array call, and the diagonal one ``interval_prob``
+array call, when every perturbed feature has the same distribution object
+(``PerturbationSpec.same`` gives them all one), and one call per perturbed
+feature otherwise; memory is the block and two (K_i, K_j) temporaries.
+
+``leaf_pair_probabilities`` builds the whole of P instead.  Its rows and
+columns of alive leaves with P[u, u] == 0 (y does not enter P) are exact
+zeros, so it fills the (K, K) block of the other K alive leaves with the
+same ``_joint``, a strip of n rows at a time.  The block is symmetric, so
+each strip is the ``_joint`` block of its rows against the columns from
+its first row on, and the part right of its n x n square is mirrored into
+the rows below: about 5 |S| (K^2 + K n) / 2 elementwise operations (min,
+max, subtract, clamp at 0, multiply in), and beside the block only a
+strip's ``_joint`` block and its two temporaries of at most ``_STRIP``
+entries each.  When K = L the block is P itself; otherwise it is scattered
+into a zero (L, L) array.  Its ``LeafPairTable`` holds that array and the
+leaves' (tree, node) keys; the iterable ``pair_prob`` view and the
+per-tree sums read the array, so the table costs L^2 floats and no Python
+object per pair.
 """
 
 from __future__ import annotations
@@ -62,8 +72,8 @@ from .errors import NumericDomainError, ValidationError
 from .model import TreeEnsemble, _as_index, _lock, as_feature_vector
 from .perturb import Discrete, PerturbationSpec
 
-# Most entries per strip of the leaf-pair table's fill: n = _STRIP // A rows
-# of at most A columns, 256 KiB, so each strip's ``_joint`` block and its two
+# Most entries per strip of the leaf-pair table's fill: n = _STRIP // K rows
+# of at most K columns, 256 KiB, so each strip's ``_joint`` block and its two
 # temporaries stay in a typical L2 cache.  Wider strips are slower: fresh
 # temporaries that outgrow the cache fault their pages in again.
 _STRIP = 1 << 15
@@ -241,22 +251,25 @@ def leaf_pair_probabilities(
 ) -> LeafPairTable:
     """Compute Pr[leaf active] and Pr[both leaves active] for all leaf pairs.
 
-    The (A, A) block of the A alive leaves is filled from its upper
-    triangle, one ``_joint`` strip of n rows at a time, and mirrored: about
-    5 |S| (A^2 + A n) / 2 elementwise operations.  When every leaf is alive
-    the block is ``P`` itself, otherwise it is scattered into a zero (L, L)
-    array.  Building takes ``P``, the block when it is not ``P``, and a
-    strip's ``_joint`` block and two temporaries of at most ``_STRIP``
-    entries each.
+    The (K, K) block of the K alive leaves with a positive probability of
+    their own is filled from its upper triangle, one ``_joint`` strip of n
+    rows at a time, and mirrored: about 5 |S| (K^2 + K n) / 2 elementwise
+    operations.  When K = L the block is ``P`` itself, otherwise it is
+    scattered into a zero (L, L) array.  Building takes ``P``, the block
+    when it is not ``P``, and a strip's ``_joint`` block and two temporaries
+    of at most ``_STRIP`` entries each.
     """
     vec, feats, dists = _check_query(ensemble, x, features, spec)
     boxes = ensemble.leaf_boxes
     _, alive, _, _, F_lo, F_hi = _alive(boxes, vec, feats, dists)
     size = boxes.value.size
-    P = block = _fill_joint(F_lo, F_hi)
-    if alive.size < size:
+    # A leaf whose own probability is 0 has a row and column of exact zeros.
+    positive = np.multiply.reduce(np.maximum(F_hi - F_lo, 0.0), axis=0) > 0.0
+    P = block = _fill_joint(F_lo[:, positive], F_hi[:, positive])
+    keep = alive[positive]
+    if keep.size < size:
         P = np.zeros((size, size))
-        P[np.ix_(alive, alive)] = block
+        P[np.ix_(keep, keep)] = block
     return LeafPairTable(P=P, tree=boxes.tree, node=boxes.node, num_trees=len(ensemble.trees))
 
 
@@ -284,16 +297,16 @@ def pg2_exact(
     # feature, so these values come in tree order.
     reached = boxes.value[holds.all(axis=1)]
     y = boxes.value[alive] - reached[boxes.tree[alive]]
-    diagonal = float(y * y @ _mass(dists, lo, hi))
+    mass = _mass(dists, lo, hi)
+    diagonal = float(y * y @ mass)
 
-    # Alive leaves run tree by tree, and every tree has one (the leaf x
-    # reaches): cut them into one block per tree.  A tree whose alive leaves
-    # all have y = 0 adds exactly 0.0 to every pair sum, so only trees with
-    # some y != 0 get a block.
-    bounds = [0, *(np.flatnonzero(np.diff(boxes.tree[alive])) + 1).tolist(), y.size]
-    blocks = [
-        (y[a:b], F_lo[:, a:b], F_hi[:, a:b]) for a, b in zip(bounds, bounds[1:]) if y[a:b].any()
-    ]
+    # Only contributing leaves (y != 0 and mass > 0) enter the pair sums;
+    # every term of another leaf is an exact 0.0.  They run tree by tree:
+    # cut them into one block per tree.
+    keep = np.flatnonzero((y != 0.0) & (mass > 0.0))
+    y, F_lo, F_hi, tree = y[keep], F_lo[:, keep], F_hi[:, keep], boxes.tree[alive[keep]]
+    bounds = [0, *(np.flatnonzero(tree[1:] != tree[:-1]) + 1).tolist(), y.size]
+    blocks = [(y[a:b], F_lo[:, a:b], F_hi[:, a:b]) for a, b in zip(bounds, bounds[1:])]
     result = diagonal + 2.0 * _cross(blocks)
     if result < 0.0:
         # The same sum over |y| bounds the round-off; only this case needs it.

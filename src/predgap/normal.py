@@ -93,9 +93,10 @@ def _polynomial(coefficients, x):
     return y
 
 
-def _tabulate(f, start: float, knots: int, rows: int) -> np.ndarray:
+def _tabulate(f, start: float, knots: int, rows: int, out=None) -> np.ndarray:
     """Rows ``(c3, c2, c1, f_k)`` of the cubics P of f on the pieces
-    [start + k / knots, start + (k + 1) / knots), k = 0 .. rows - 1.
+    [start + k / knots, start + (k + 1) / knots), k = 0 .. rows - 1, written
+    into ``out`` when given.
 
     P(s) = D s + s (s - 1) (alpha + beta s) with D = f_{k+1} - f_k passes
     through both knot values, and alpha and beta match f's curvature off that
@@ -109,7 +110,7 @@ def _tabulate(f, start: float, knots: int, rows: int) -> np.ndarray:
     w3 = (f(x[:-1] + 0.75 * step) - y[:-1] - 0.75 * chord) * (-16.0 / 3.0)
     beta = 2.0 * (w3 - w1)
     alpha = 0.5 * (3.0 * w1 - w3)
-    return np.stack((beta, alpha - beta, chord - alpha, y[:-1]), axis=1)
+    return np.stack((beta, alpha - beta, chord - alpha, y[:-1]), axis=1, out=out)
 
 
 def _evaluate(table: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
@@ -138,12 +139,19 @@ def _cdf_table() -> np.ndarray:
     """Rows for the knots k = 0 .. n, then k = -n-1 .. -1, so that a
     negative knot index reads its row from the end of the table."""
     n = _CDF_SPAN
-    table = _tabulate(_erfc_half, -(n + 1) / _CDF_KNOTS, _CDF_KNOTS, 2 * n + 2)
+    # Each half is tabulated into its place.  The knots and quarter points
+    # are multiples of 2**-13 smaller than 7, which floats hold exactly, so
+    # both halves see the points one tabulation from -(n + 1) / 2048 would.
+    table = np.empty((2 * n + 2, 4))
+    _tabulate(_erfc_half, 0.0, _CDF_KNOTS, n + 1, out=table[:n + 1])
+    _tabulate(_erfc_half, -(n + 1) / _CDF_KNOTS, _CDF_KNOTS, n + 1, out=table[n + 1:])
     # 0 where 0.5 (1 + erf(z)) rounds to 0: each row that ends at or below
-    # 2**-55.  Zeroing knot values before the curvature is sampled would
-    # leave the first nonzero row non-monotone.
-    table[np.append(table[1:, 3], 1.0) <= 2.0 ** -55] = 0.0
-    return np.roll(table, -(n + 1), axis=0)
+    # 2**-55, all of them among the rows k < 0, the last of which ends at
+    # row 0's knot.  Zeroing knot values before the curvature is sampled
+    # would leave the first nonzero row non-monotone.
+    below = table[n + 1:]
+    below[np.append(below[1:, 3], table[0, 3]) <= 2.0 ** -55] = 0.0
+    return table
 
 
 def cdf(v, scale: float):

@@ -222,7 +222,7 @@ def halton_point(index: int, dim: int) -> tuple[float, ...]:
     return tuple(radical_inverse(index, _PRIMES[j]) for j in range(dim))
 
 
-def _interval_product(dists, lo, hi):
+def interval_product(dists, lo, hi):
     """Elementwise product over k of ``dists[k].interval_prob(lo[k], hi[k])``."""
     p = 1.0
     for dist, a, b in zip(dists, lo, hi):
@@ -234,12 +234,12 @@ def pair_block_oracle(dists, lo_a, hi_a, lo_b, hi_b):
     """The per-pair formula for two sets of alive leaves, shape (A_a, A_b):
     over the perturbed features in order, the product of ``interval_prob``
     on the intersected boxes [max(lo_u, lo_v), min(hi_u, hi_v))."""
-    return _interval_product(
+    return interval_product(
         dists, map(np.maximum.outer, lo_a, lo_b), map(np.minimum.outer, hi_a, hi_b)
     )
 
 
-def _alive_boxes(ensemble, x, features, spec):
+def alive_boxes(ensemble, x, features, spec):
     """Query, alive leaf indices, their boxes on S relative to x as (|S|, A)
     arrays, and the noise of each perturbed feature."""
     vec = np.asarray(x, dtype=np.float64)
@@ -256,7 +256,7 @@ def _alive_boxes(ensemble, x, features, spec):
 def pair_table_oracle(ensemble, x, features, spec) -> np.ndarray:
     """The dense leaf-pair probability matrix from ``pair_block_oracle``,
     rows and columns in ``leaf_boxes`` order."""
-    _, alive, lo, hi, dists = _alive_boxes(ensemble, x, features, spec)
+    _, alive, lo, hi, dists = alive_boxes(ensemble, x, features, spec)
     size = ensemble.leaf_boxes.value.size
     P = np.zeros((size, size))
     P[np.ix_(alive, alive)] = pair_block_oracle(dists, lo, hi, lo, hi)
@@ -277,11 +277,12 @@ def joint_table_reference(ensemble, x, features, spec) -> np.ndarray:
 
 def pg2_pair_oracle(ensemble, x, features, spec) -> float:
     """PG2 with every tree-pair block from ``pair_block_oracle``, summed in
-    ``pg2_exact``'s order (diagonal, then blocks i < j), so that the two
-    agree bit for bit when the engine's blocks equal the per-pair formula."""
+    ``pg2_exact``'s order (diagonal, then blocks i < j) over the same
+    contributing leaves, so that the two agree bit for bit when the engine's
+    blocks equal the per-pair formula."""
     if not set(features):
         return 0.0
-    vec, alive, lo, hi, dists = _alive_boxes(ensemble, x, features, spec)
+    vec, alive, lo, hi, dists = alive_boxes(ensemble, x, features, spec)
     boxes = ensemble.leaf_boxes
     # Each tree's reached value comes from walking the tree, not from the boxes.
     reached = np.concatenate([
@@ -289,16 +290,38 @@ def pg2_pair_oracle(ensemble, x, features, spec) -> float:
         for tree in ensemble.trees
     ])
     y = boxes.value[alive] - reached[boxes.tree[alive]]
-    result = float(y * y @ _interval_product(dists, lo, hi))
+    mass = interval_product(dists, lo, hi)
+    result = float(y * y @ mass)
+    # The pair sums run over the leaves with y != 0 and a positive
+    # probability of their own; every other leaf's terms are exact zeros.
+    keep = (y != 0.0) & (mass > 0.0)
+    y, lo, hi = y[keep], lo[:, keep], hi[:, keep]
     cross = 0.0
     num_trees = len(ensemble.trees)
-    cut = np.searchsorted(boxes.tree[alive], np.arange(num_trees + 1)).tolist()
+    cut = np.searchsorted(boxes.tree[alive[keep]], np.arange(num_trees + 1)).tolist()
     for i in range(num_trees):
         for j in range(i + 1, num_trees):
             a, b = slice(cut[i], cut[i + 1]), slice(cut[j], cut[j + 1])
             P = pair_block_oracle(dists, lo[:, a], hi[:, a], lo[:, b], hi[:, b])
             cross += float(y[a] @ P @ y[b])
     result += 2.0 * cross
+    return result if result >= 0.0 else 0.0
+
+
+def pg2_unskipped(ensemble, x, features, spec) -> float:
+    """``pg2_exact``'s sum with a pair block for every two trees over all
+    of their alive leaves, y = 0 and probability 0 included: the engine's
+    own CDF values, ``_mass`` and ``_joint``, with no leaf skipped."""
+    vec, feats, dists = exact._check_query(ensemble, x, features, spec)
+    if not feats:
+        return 0.0
+    boxes = ensemble.leaf_boxes
+    holds, alive, lo, hi, F_lo, F_hi = exact._alive(boxes, vec, feats, dists)
+    reached = boxes.value[holds.all(axis=1)]
+    y = boxes.value[alive] - reached[boxes.tree[alive]]
+    cut = np.searchsorted(boxes.tree[alive], np.arange(len(ensemble.trees) + 1)).tolist()
+    blocks = [(y[a:b], F_lo[:, a:b], F_hi[:, a:b]) for a, b in zip(cut, cut[1:])]
+    result = float(y * y @ exact._mass(dists, lo, hi)) + 2.0 * exact._cross(blocks)
     return result if result >= 0.0 else 0.0
 
 

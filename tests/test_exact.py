@@ -17,14 +17,17 @@ from predgap.model import ensemble_from_dict
 from support import (
     CANONICAL_PG2,
     PHI_1,
+    alive_boxes,
     canonical_ensemble,
     depth1_tree,
+    interval_product,
     joint_table_reference,
     lattice_point,
     leaf,
     pair_table_oracle,
     perfect_tree,
     pg2_pair_oracle,
+    pg2_unskipped,
     random_discrete,
     random_ensemble,
     split,
@@ -434,16 +437,21 @@ def test_negative_gap_beyond_slack_raises(monkeypatch):
         pg.pg2_exact(*_cancelling_pair())
 
 
-def _live_trees(ensemble, x, S):
-    """Trees with an alive leaf whose value differs from the one x reaches:
-    the only trees whose pair blocks can add anything but 0.0."""
+def _live_trees(ensemble, x, S, spec=None):
+    """Trees with an alive leaf whose value differs from the one x reaches
+    and, under the noise ``spec`` when given, whose own probability is
+    positive: the only trees whose pair blocks can add anything but 0.0."""
     fixed = [q for q in range(ensemble.num_features) if q not in S]
     live = 0
     for tree in ensemble.trees:
         one = pg.TreeEnsemble((tree,), ensemble.num_features)
         boxes = one.leaf_boxes
         alive = ((boxes.lo[:, fixed] <= x[fixed]) & (x[fixed] < boxes.hi[:, fixed])).all(axis=1)
-        live += bool((boxes.value[alive] != one.predict_batch(x[None, :])[0]).any())
+        moved = boxes.value[alive] != one.predict_batch(x[None, :])[0]
+        if spec is not None:
+            _, _, lo, hi, dists = alive_boxes(one, x, S, spec)
+            moved &= interval_product(dists, lo, hi) > 0.0
+        live += bool(moved.any())
     return live
 
 
@@ -478,15 +486,90 @@ def test_pair_loop_builds_blocks_for_live_trees_only(monkeypatch):
             sorted(int(q) for q in rng.choice(4, size=int(rng.integers(1, 5)), replace=False))
         )
         spec = pg.PerturbationSpec(per_feature=tuple(_noise(rng) for _ in range(4)))
-        live = _live_trees(ens, x, S)
+        live = _live_trees(ens, x, S, spec)
         if S == (0, 1):
-            assert live == 3, n
+            assert _live_trees(ens, x, S) == 3, n
         seen.add(live)
         calls.clear()
         got = pg.pg2_exact(ens, x, S, spec)
         assert len(calls) == live * (live - 1) // 2, n
         assert got == pg2_pair_oracle(ens, x, S, spec), n
     assert {1, 3} <= seen, seen
+
+
+def _bounded_cases(rng):
+    """(ensemble, spec, x, S) on lattice ensembles (integer thresholds) with
+    bounded noise: Uniform no wider than the unit gap between thresholds, or
+    Discrete with no atom at 0, so that many alive leaves, the one x reaches
+    among them, have probability 0."""
+    for n in range(100):
+        d = int(rng.integers(1, 6))
+        ens = random_ensemble(rng, d, int(rng.integers(1, 6)), int(rng.integers(1, 5)), lattice_p=1.0)
+        if n % 2:
+            noise = [pg.Uniform(float(rng.choice([0.25, 0.5]))) for _ in range(d)]
+        else:
+            noise = []
+            for _ in range(d):
+                dist = random_discrete(rng)
+                offsets = [o for o, _ in dist.points if o != 0.0] or [1.0]
+                noise.append(pg.Discrete(points=tuple((o, 1.0 / len(offsets)) for o in offsets)))
+        x = lattice_point(rng, d)
+        S = sorted(int(q) for q in rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        yield ens, pg.PerturbationSpec(per_feature=tuple(noise)), x, S
+
+
+def test_bounded_noise_skips_leaves_of_probability_zero_exactly():
+    # Skipping a leaf of probability 0 drops only exact zeros: pg2_exact is
+    # the per-pair formula over the same leaves and agrees with enumeration,
+    # and the table is the unskipped one-block fill, with every row and
+    # column of a probability-0 leaf exactly 0.
+    rng = np.random.default_rng(30)
+    skipped = moved = 0
+    for n, (ens, spec, x, S) in enumerate(_bounded_cases(rng)):
+        got = pg.pg2_exact(ens, x, S, spec)
+        assert got == pg2_pair_oracle(ens, x, S, spec), n
+        if isinstance(spec.per_feature[0], pg.Discrete):
+            want = pg.pg2_brute_force(ens, x, S, spec)
+            assert abs(got - want) <= 1e-9 * max(abs(want), 1e-300), n
+        P = pg.leaf_pair_probabilities(ens, x, S, spec).P
+        assert np.array_equal(P, joint_table_reference(ens, x, S, spec)), n
+        assert np.array_equal(P, pair_table_oracle(ens, x, S, spec)), n
+        _, alive, lo, hi, dists = alive_boxes(ens, x, S, spec)
+        zero = alive[interval_product(dists, lo, hi) == 0.0]
+        assert not P[zero].any() and not P[:, zero].any(), n
+        skipped += zero.size
+        reached = ens.leaf_boxes.value[ens.leaf_boxes.holds(x).all(axis=1)]
+        moved += int((ens.leaf_boxes.value[zero] != reached[ens.leaf_boxes.tree[zero]]).sum())
+    assert skipped > 100 and moved > 20, (skipped, moved)
+
+
+def test_a_tree_whose_moved_leaves_have_probability_zero_gets_no_pair_block(monkeypatch):
+    # From x0 = 0.2 the noise moves x0 to either side of 0, so trees 0 and 1
+    # flip together (values -1 and -2 off their reached leaves), while tree
+    # 2's right leaf (x0 >= 5) has y = 9 and probability 0: only the pair
+    # (0, 1) gets a block, and PG2 = Pr[flip] (1 + 2)^2.
+    trees = (
+        split(0, 0.0, leaf(1.0), leaf(2.0)),
+        split(0, 0.0, leaf(3.0), leaf(5.0)),
+        split(0, 5.0, leaf(0.0), leaf(9.0)),
+    )
+    ens = pg.TreeEnsemble(trees=tuple(pg.Tree(t) for t in trees), num_features=1)
+    x = np.array([0.2])
+    calls = []
+    real = exact._joint
+
+    def counting(*blocks):
+        calls.append(1)
+        return real(*blocks)
+
+    monkeypatch.setattr(exact, "_joint", counting)
+    for noise, flip in ((pg.Discrete(points=((-0.5, 0.5), (0.25, 0.5))), 0.5), (pg.Uniform(0.4), 0.25)):
+        spec = pg.PerturbationSpec(per_feature=(noise,))
+        calls.clear()
+        got = pg.pg2_exact(ens, x, [0], spec)
+        assert len(calls) == 1, noise
+        assert got == 9.0 * flip, noise
+        assert got == pg2_unskipped(ens, x, [0], spec) == pg2_pair_oracle(ens, x, [0], spec), noise
 
 
 def _count_distribution_calls(monkeypatch):

@@ -100,6 +100,36 @@ def test_cdf_of_an_array_is_the_cdf_of_each_element():
     assert values.tolist() == [[float(normal.cdf(v, 1.7)) for v in row] for row in z.tolist()]
 
 
+def _tabulate_reference(f, start, knots, rows):
+    """The cubic rows of f on [start + k / knots, start + (k + 1) / knots),
+    k = 0 .. rows - 1, built in that order."""
+    step = 1.0 / knots
+    x = start + np.arange(rows + 1) * step
+    y = f(x)
+    chord = y[1:] - y[:-1]
+    w1 = (f(x[:-1] + 0.25 * step) - y[:-1] - 0.25 * chord) * (-16.0 / 3.0)
+    w3 = (f(x[:-1] + 0.75 * step) - y[:-1] - 0.75 * chord) * (-16.0 / 3.0)
+    beta = 2.0 * (w3 - w1)
+    alpha = 0.5 * (3.0 * w1 - w3)
+    return np.stack((beta, alpha - beta, chord - alpha, y[:-1]), axis=1)
+
+
+def test_tables_equal_the_rows_built_in_knot_order():
+    # The CDF table is tabulated in its wrapped row order (knots 0 .. n, then
+    # -n-1 .. -1), half by half; the reference tabulates in knot order,
+    # zeroes the rows that end at or below 2**-55, and rolls.
+    n = normal._CDF_SPAN
+    table = _tabulate_reference(normal._erfc_half, -(n + 1) / normal._CDF_KNOTS, normal._CDF_KNOTS, 2 * n + 2)
+    table[np.append(table[1:, 3], 1.0) <= 2.0 ** -55] = 0.0
+    assert np.array_equal(normal._cdf_table(), np.roll(table, -(n + 1), axis=0))
+    central, tail = normal._quantile_tables()
+    assert np.array_equal(central, _tabulate_reference(
+        normal._g, 0.0, normal._R_KNOTS, math.ceil(normal._R_CENTRAL * normal._R_KNOTS)))
+    assert np.array_equal(tail, _tabulate_reference(
+        normal._as241_tail, normal._RHO_START, normal._RHO_KNOTS,
+        math.ceil((5.0 - normal._RHO_START) * normal._RHO_KNOTS)))
+
+
 def _quantile_points():
     rng = np.random.default_rng(7)
     r_knots = np.arange(0, math.ceil(normal._R_CENTRAL * normal._R_KNOTS) + 1, 41) / normal._R_KNOTS

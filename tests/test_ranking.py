@@ -1,15 +1,18 @@
 """Greedy squared-gap rankings, attribution rankings, and top-k agreement."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import predgap as pg
 from predgap.errors import ValidationError
 from predgap.model import ensemble_from_dict, ensemble_to_dict
 
-from support import leaf, random_ensemble, split
+from support import leaf, pg2_unskipped, random_ensemble, split
 
 
 def _single_feature_model(feature, num_features):
@@ -105,6 +108,86 @@ def test_greedy_uses_exactly_the_triangular_call_count(monkeypatch):
     # d + (d - 1) + ... + 2: the last lone candidate is not scored
     assert len(calls) == d * (d + 1) // 2 - 1
     assert all(len(S) < d for S in calls)
+
+
+@st.composite
+def _lattice_queries(draw):
+    """(ensemble, x, spec): three trees over four features with integer
+    thresholds and leaf values from a short list, a query on the integers,
+    so x often sits on a threshold and many leaves carry x's own values, and
+    Discrete noise on the lattice, with or without an atom at 0."""
+    d = 4
+
+    def node(depth):
+        if depth == 3 or (depth > 0 and draw(st.booleans())):
+            return leaf(draw(st.sampled_from((-1.0, 0.0, 0.5, 2.0))))
+        feature, threshold = draw(st.integers(0, d - 1)), float(draw(st.integers(-2, 2)))
+        return split(feature, threshold, node(depth + 1), node(depth + 1))
+
+    ens = pg.TreeEnsemble(trees=tuple(pg.Tree(node(0)) for _ in range(3)), num_features=d)
+    x = np.array([float(draw(st.integers(-2, 2))) for _ in range(d)])
+    noise = []
+    for _ in range(d):
+        offsets = draw(st.lists(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)),
+                                min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(offsets), max_size=len(offsets)))
+        noise.append(pg.Discrete(points=tuple((o, w / sum(weights)) for o, w in zip(sorted(offsets), weights))))
+    return ens, x, pg.PerturbationSpec(per_feature=tuple(noise))
+
+
+def _greedy_by(score, d):
+    """The greedy ranking with PG2 from ``score``: the largest score first,
+    ties to the lowest feature index, the lone last candidate unscored."""
+    chosen, remaining = [], list(range(d))
+    while len(remaining) > 1:
+        best = max(remaining, key=lambda i: (score(chosen + [i]), -i))
+        chosen.append(best)
+        remaining.remove(best)
+    return tuple(chosen + remaining)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lattice_queries())
+def test_greedy_ranking_equals_the_unskipped_pair_sums(query):
+    # pg2_exact skips leaves with y = 0 or probability 0 in its pair sums,
+    # which may move a gap in its last bit.  The rankings, exact ties
+    # included, are the ones the unskipped sums give, except where two
+    # candidates' gaps are equal up to rounding and one of the two sums
+    # splits them by an ulp while the other ties them (the test below
+    # has one): there the first candidate the two rankings part on must
+    # be such a near-tie.
+    ens, x, spec = query
+    got = pg.greedy_pg2_ranking(ens, x, spec).order
+    want = _greedy_by(lambda S: pg2_unskipped(ens, x, S, spec), ens.num_features)
+    if got != want:
+        step = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
+        mine, theirs = (pg2_unskipped(ens, x, [*got[:step], q], spec) for q in (got[step], want[step]))
+        assert math.isclose(mine, theirs, rel_tol=1e-12), (got, want, mine, theirs)
+
+
+def test_an_exact_tie_the_unskipped_sums_split_by_rounding_goes_to_the_lower_index():
+    # After features 2 and 1, adding feature 0 (a sure shift by 0.5 that
+    # crosses no threshold) or feature 3 (unused) leaves the gap unchanged.
+    # pg2_exact gives both the same bits, so the lower index, 0, is taken;
+    # the unskipped sums differ in the last bit and take 3.
+    trees = (
+        split(1, 2.0, leaf(0.0), split(0, -2.0, split(1, 0.0, leaf(2.0), leaf(0.0)),
+                                       split(2, 1.0, leaf(2.0), leaf(0.5)))),
+        split(2, 2.0, leaf(-1.0), split(0, 0.0, leaf(2.0), leaf(0.5))),
+        split(2, 1.0, leaf(2.0), split(2, 0.0, split(1, -2.0, leaf(0.5), leaf(2.0)), leaf(2.0))),
+    )
+    ens = pg.TreeEnsemble(trees=tuple(pg.Tree(t) for t in trees), num_features=4)
+    x = np.array([2.0, 2.0, 2.0, -2.0])
+    spec = pg.PerturbationSpec(per_feature=(
+        pg.Discrete(points=((0.5, 1.0),)),
+        pg.Discrete(points=((-2.0, 1 / 3), (0.0, 1 / 3), (1.0, 1 / 3))),
+        pg.Discrete(points=((-2.0, 0.6), (-0.5, 0.2), (2.0, 0.2))),
+        pg.Discrete(points=((-2.0, 4 / 9), (0.0, 2 / 9), (2.0, 1 / 3))),
+    ))
+    assert pg.pg2_exact(ens, x, [2, 1, 0], spec) == pg.pg2_exact(ens, x, [2, 1, 3], spec)
+    assert pg2_unskipped(ens, x, [2, 1, 0], spec) < pg2_unskipped(ens, x, [2, 1, 3], spec)
+    assert pg.greedy_pg2_ranking(ens, x, spec).order == (2, 1, 0, 3)
+    assert _greedy_by(lambda S: pg2_unskipped(ens, x, S, spec), 4) == (2, 1, 3, 0)
 
 
 def test_greedy_invariant_under_positive_leaf_scaling():
